@@ -3,10 +3,11 @@
 Times the same 64-point batch four ways and writes
 ``benchmarks/out/BENCH_engine.json``:
 
-* **serial** — ``SweepEngine(workers=1)``, the plain plan/execute
+* **serial** — ``EngineSession(workers=1)``, the plain plan/execute
   pipeline;
-* **cold** — a fresh ``SweepEngine(workers=N)`` per sweep, paying full
-  pool startup inside the measured window (the pre-session behavior);
+* **cold** — a fresh ``EngineSession(workers=N)`` per sweep: pool
+  startup and shutdown both paid inside the measured window (what a
+  one-off ``engine.sweep(workers=N)`` costs);
 * **warm** — an :class:`EngineSession`'s persistent pool, measured
   *after* a warm-up sweep, so the startup cost is amortized away;
 * **shm on / off** — the warm session again with the shared-memory data
@@ -26,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro import CollectiveSpec, Grid
-from repro.engine import EngineSession, SweepEngine, default_workers
+from repro.engine import EngineSession, default_workers
 
 N_POINTS = 64
 P, B = 64, 192
@@ -66,12 +67,19 @@ def _assert_identical(outcomes, reference, label):
 def test_engine_throughput_64_points(out_dir):
     specs, datas = _batch()
     serial_outs, serial_s = _timed(
-        SweepEngine(workers=1).sweep, specs, datas
+        EngineSession(workers=1).sweep, specs, datas
     )
 
-    # Cold: pool startup paid inside the measured window, every time.
-    cold_engine = SweepEngine(workers=PARALLEL_WORKERS)
-    cold_outs, cold_s = _timed(cold_engine.sweep, specs, datas)
+    # Cold: a session built, swept once and closed, all inside the
+    # measured window.
+    def fresh_session_sweep(specs, datas):
+        with EngineSession(workers=PARALLEL_WORKERS) as session:
+            outcomes = session.sweep(specs, datas)
+        cold_stats.update(session.stats.as_dict())
+        return outcomes
+
+    cold_stats = {}
+    cold_outs, cold_s = _timed(fresh_session_sweep, specs, datas)
     _assert_identical(cold_outs, serial_outs, "cold pool")
 
     with EngineSession(workers=PARALLEL_WORKERS) as session:
@@ -134,7 +142,8 @@ def test_engine_throughput_64_points(out_dir):
 
     # Structural honesty on any core count: the pools really ran, the
     # warm session really reused its pool, shm really carried the bytes.
-    assert cold_engine.stats.parallel_points == N_POINTS
+    assert cold_stats["parallel_points"] == N_POINTS
+    assert cold_stats["cold_starts"] == 1 and cold_stats["pool_reuses"] == 0
     assert warm_stats["parallel_points"] == 2 * N_POINTS
     assert warm_stats["cold_starts"] == 1
     assert warm_stats["pool_reuses"] == 1

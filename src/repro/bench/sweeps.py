@@ -8,7 +8,7 @@ mirroring the paper's measured-vs-predicted presentation.
 
 Every *measured* point is expressed as a
 :class:`~repro.core.registry.CollectiveSpec` and the whole sweep is
-batched through the :class:`~repro.engine.pool.SweepEngine`: each
+batched through an :class:`~repro.engine.session.EngineSession`: each
 distinct spec is planned exactly once (and the plan is reused from the
 process-wide cache across sweeps and re-runs), then the simulations fan
 out point by point — over a process pool when ``workers > 1`` (the
@@ -37,7 +37,6 @@ import numpy as np
 
 from ..core import registry
 from ..core.registry import CollectiveSpec
-from ..engine.pool import SweepEngine
 from ..engine.session import EngineSession, get_session
 from ..fabric.geometry import Grid
 from ..model import analytic
@@ -162,7 +161,7 @@ def bench_session(workers: int) -> EngineSession:
     if (
         _BENCH_SESSION is None
         or _BENCH_SESSION.closed
-        or _BENCH_SESSION.engine.workers != workers
+        or _BENCH_SESSION.workers != workers
     ):
         if _BENCH_SESSION is not None:
             _BENCH_SESSION.close()
@@ -174,7 +173,7 @@ class _MeasuredBatch:
     """Accumulates the measured points of one sweep for an engine run.
 
     Points are registered in sweep order; :meth:`run` executes the whole
-    batch through a :class:`~repro.engine.pool.SweepEngine` (one plan
+    batch through an :class:`~repro.engine.session.EngineSession` (one plan
     per distinct spec, fanned out over ``workers`` processes), verifies
     every outcome against the NumPy reference, and writes the measured
     cycle counts back into the sweep's points.
@@ -202,7 +201,7 @@ class _MeasuredBatch:
             if session is not None:
                 outcomes = session.sweep(self.specs, self.datas)
             else:
-                outcomes = SweepEngine(workers=1).sweep(
+                outcomes = EngineSession(workers=1).sweep(
                     self.specs, self.datas
                 )
         for spec, data, point, out in zip(

@@ -56,7 +56,7 @@ __all__ = ["CollectiveSpec", "CollectiveOutcome", "Plan",
            "plan", "execute", "run_many", "cache_info",
            "plan_reduce", "plan_allreduce",
            "reduce", "allreduce", "broadcast", "gather", "scatter",
-           "allgather", "reduce_scatter", "REDUCE_OPS"]
+           "allgather", "reduce_scatter", "REDUCE_OPS", "seeded_input"]
 
 
 def _combine_for(op: str):
@@ -252,6 +252,20 @@ def _prepare_inputs(
             inputs[pe] = buf
         return inputs
     raise ValueError(f"unknown collective kind {kind!r}")
+
+
+def seeded_input(spec: CollectiveSpec, seed: int) -> np.ndarray:
+    """The deterministic, well-shaped input ``seed`` denotes for ``spec``:
+    one ``B``-vector for a broadcast, per-PE rows for every other kind.
+
+    The one definition behind the tuner's measurement input and the
+    planner service's seeded sweep items, so the library and the service
+    derive byte-identical arrays from the same seed.
+    """
+    rng = np.random.default_rng(seed)
+    if spec.kind == "broadcast":
+        return rng.normal(size=spec.b)
+    return rng.normal(size=(spec.grid.size, spec.b))
 
 
 def _extract_result(spec: CollectiveSpec, sim: SimResult) -> np.ndarray:

@@ -228,16 +228,6 @@ class PlanCache:
             self._plans[spec] = plan
             self._plans.move_to_end(spec)
 
-    def specs(self) -> list:
-        """Every spec currently cached, least- to most-recently used.
-
-        This is the cache's persistable identity: a plan is pure in its
-        spec, so shipping these specs to another process (or saving them
-        to disk) is enough to rebuild the cache there.
-        """
-        with self._lock:
-            return list(self._plans.keys())
-
     def clear(self) -> None:
         """Drop every cached plan and reset the hit/miss counters."""
         with self._lock:

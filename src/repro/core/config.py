@@ -1,7 +1,7 @@
 """One registry for every ``REPRO_*`` environment knob.
 
 Before this module, each subsystem parsed its own environment variables
-ad hoc — the engine's retry knobs in :mod:`repro.engine.pool`, the shm
+ad hoc — the engine's retry knobs in :mod:`repro.engine.session`, the shm
 threshold in :mod:`repro.engine.shm`, the simulator backend in
 :mod:`repro.fabric.simulator`, and so on — with no single place to see
 what knobs exist, what they default to, or what the process is actually
@@ -53,7 +53,7 @@ class Knob:
     kind: str           # "int" | "float" | "str" | "flag" | "path"
     default: str        # human-readable default (shown by the CLI)
     description: str
-    used_by: str        # owning module, e.g. "engine.pool"
+    used_by: str        # owning module, e.g. "engine.session"
 
 
 def _knob_table(*knobs: Knob) -> Dict[str, Knob]:
@@ -80,19 +80,19 @@ KNOBS: Dict[str, Knob] = _knob_table(
          "engine.shm"),
     Knob("REPRO_CHUNK_TIMEOUT", "float", "none (no deadline)",
          "per-chunk wall-clock deadline in seconds before requeue",
-         "engine.pool"),
+         "engine.session"),
     Knob("REPRO_MAX_RETRIES", "int", "2",
          "chunk retries before quarantine",
-         "engine.pool"),
+         "engine.session"),
     Knob("REPRO_RETRY_BACKOFF", "float", "0.05",
          "base seconds of jittered backoff between chunk retries",
-         "engine.pool"),
+         "engine.session"),
     Knob("REPRO_RETRY_SEED", "int", "0",
          "seed of the deterministic retry-backoff jitter",
-         "engine.pool"),
+         "engine.session"),
     Knob("REPRO_MAX_POOL_DEATHS", "int", "2",
          "pool replacements tolerated before degrading to serial",
-         "engine.pool"),
+         "engine.session"),
     Knob("REPRO_FAULTS", "str", "(none)",
          "deterministic fault-injection plan, e.g. 'seed=42;kill@1'",
          "engine.faults"),

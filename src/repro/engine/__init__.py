@@ -4,20 +4,20 @@ The spec pipeline (:mod:`repro.core`) made every collective a pure
 ``plan(spec)`` + ``execute(plan, data)``; this package scales that
 contract out and makes it durable:
 
-* :mod:`repro.engine.pool` — :class:`SweepEngine`, a process-pool
-  executor for ``run_many``-style batches: chunked by distinct spec (one
-  plan per chunk), deterministically ordered, bit-identical to the
-  serial path, with a serial fallback for ``workers=1`` and batches
-  that cannot cross a process boundary;
-* :mod:`repro.engine.session` — :class:`EngineSession`, a persistent
-  worker session: one warm pool reused across many sweeps
-  (``stats.pool_reuses`` vs ``stats.cold_starts``), plan-cache and
-  tuner state re-hydrated into workers on attach, installable as the
-  module default (:func:`use_session` / :func:`set_session`);
-* :mod:`repro.engine.shm` — the shared-memory data plane: chunks whose
-  arrays clear a size threshold ship ``(name, shape, dtype, offset)``
-  descriptors into ``multiprocessing.shared_memory`` segments instead
-  of pickled per-PE buffers, bit-identical and leak-free by protocol;
+* :mod:`repro.engine.session` — :class:`EngineSession`, *the* engine:
+  runs ``run_many``-style batches on one persistent process pool (built
+  on first need, reused across sweeps), bit-identical to the serial
+  path, with the retry/timeout/quarantine/pool-loss recovery loop and a
+  serial fallback; :func:`use_session` / :func:`set_session` install a
+  module default;
+* :mod:`repro.engine.partition` — the pure split of a batch into
+  one-spec, bounded-size chunks, and its ``verify_assignments`` checker;
+* :mod:`repro.engine.transport` — the worker body and the pickle | shm
+  encoding of a chunk and its reply; the only module that touches
+  segments;
+* :mod:`repro.engine.shm` — the shared-memory data plane: ``(name,
+  shape, dtype, offset)`` descriptors into ``multiprocessing.
+  shared_memory`` segments instead of pickled per-PE buffers;
 * :mod:`repro.engine.store` — :class:`TuneDB` / :class:`PlanStore`, an
   append-only JSON-lines store mapping frozen specs to
   ``{predicted_cycles, measured_cycles, winner_algorithm}``; survives
@@ -25,18 +25,15 @@ contract out and makes it durable:
   :meth:`TuneDB.hydrate_plan_cache`;
 * :mod:`repro.engine.autotune` — :func:`tune` measures every feasible
   candidate per spec and records winners; :func:`set_tuner` /
-  :func:`use_tuner` let those measured winners override the analytic
-  planner;
-* :mod:`repro.engine.runner` — the :func:`sweep` façade (routes to the
-  default session when one is installed; :func:`last_stats` exposes the
-  executing engine's counters, failure/recovery ones included);
+  :func:`use_tuner` let those winners override the analytic planner;
+* :mod:`repro.engine.runner` — the :func:`sweep` façade (the default
+  session when one is installed, else a session used once) and
+  :func:`last_stats`, the executing session's counters;
 * :mod:`repro.engine.faults` — deterministic, seeded fault injection
-  (``REPRO_FAULTS`` / :func:`use_faults`): kill a worker mid-chunk,
-  delay a chunk past its deadline, corrupt an shm descriptor, tear a
-  JSONL append — every failure mode the engine's retry/timeout/
-  quarantine/pool-replacement machinery claims to survive is
-  reproducible on demand, and results stay bit-identical to serial
-  under all of them.
+  (``REPRO_FAULTS`` / :func:`use_faults`): every failure mode the
+  recovery loop claims to survive — a killed worker, a chunk past its
+  deadline, a corrupt shm descriptor, a torn JSONL append — reproduced
+  on demand, with results bit-identical to serial under all of them.
 
 Quickstart::
 
@@ -56,9 +53,15 @@ Quickstart::
 from . import faults
 from .autotune import Tuner, set_tuner, tune, use_tuner
 from .faults import FaultPlan, FaultSpec, use_faults
-from .pool import EngineStats, SweepEngine, default_workers
 from .runner import last_stats, sweep
-from .session import EngineSession, get_session, set_session, use_session
+from .session import (
+    EngineSession,
+    EngineStats,
+    default_workers,
+    get_session,
+    set_session,
+    use_session,
+)
 from .store import (
     FsckIssue,
     FsckReport,
@@ -66,15 +69,12 @@ from .store import (
     TuneDB,
     TuneRecord,
     default_db_path,
-    hydrate_keys,
-    plan_cache_keys,
     spec_from_key,
     spec_to_key,
 )
 
 __all__ = [
     "EngineStats",
-    "SweepEngine",
     "default_workers",
     "sweep",
     "last_stats",
@@ -98,6 +98,4 @@ __all__ = [
     "default_db_path",
     "spec_to_key",
     "spec_from_key",
-    "plan_cache_keys",
-    "hydrate_keys",
 ]

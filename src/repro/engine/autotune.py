@@ -14,15 +14,17 @@ Three pieces:
   accepts: maps a spec to its measurement-backed winner (or ``None``,
   which leaves the analytic choice untouched);
 * :func:`tune` — the measurement driver: for each spec it executes every
-  feasible candidate through a :class:`~repro.engine.pool.SweepEngine`
-  and records per-algorithm measured cycles plus the winner;
+  feasible candidate through one :class:`~repro.engine.session.
+  EngineSession` and records per-algorithm measured cycles plus the
+  winner;
 * :func:`set_tuner` / :func:`use_tuner` — install a tuner process-wide
   (invalidating the plan cache, whose ``auto`` plans embed the ranking
   they were made under).
 
 Simulated cycle counts are data-independent (timing follows the
 schedule, not the values), so :func:`tune` measures each candidate on
-one deterministic random input.
+one deterministic random input
+(:func:`repro.core.api.seeded_input`).
 """
 
 from __future__ import annotations
@@ -30,13 +32,12 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterable, Optional, Union
 
-import numpy as np
-
 from ..core import planner, registry
+from ..core.api import seeded_input
 from ..core.cache import PLAN_CACHE
 from ..core.registry import CollectiveSpec
 from ..fabric.simulator import resolve_backend
-from .pool import SweepEngine
+from .session import EngineSession, session_or_new
 from .store import TuneDB
 
 __all__ = ["Tuner", "tune", "set_tuner", "use_tuner"]
@@ -92,17 +93,10 @@ def use_tuner(tuner: Union[Tuner, TuneDB, None]):
         set_tuner(previous)
 
 
-def _tune_input(spec: CollectiveSpec, rng: np.random.Generator) -> np.ndarray:
-    """A well-shaped input for ``spec`` (values don't affect timing)."""
-    if spec.kind == "broadcast":
-        return rng.normal(size=spec.b)
-    return rng.normal(size=(spec.grid.size, spec.b))
-
-
 def tune(
     specs: Iterable[CollectiveSpec],
     db: Optional[TuneDB] = None,
-    engine: Optional[SweepEngine] = None,
+    session: Optional[EngineSession] = None,
     workers: Optional[int] = None,
     seed: int = 0,
 ) -> TuneDB:
@@ -110,9 +104,11 @@ def tune(
 
     Each spec is normalized to ``algorithm="auto"`` (that is the planning
     decision being tuned), its feasible candidates are executed through
-    the engine, and the DB receives per-algorithm measured cycles plus
-    the fastest algorithm as ``winner_algorithm``.  Returns the DB, so
-    ``set_tuner(tune(specs))`` is a one-liner.
+    one session for the whole call — ``session``, else one created with
+    ``workers`` processes and closed afterwards — and the DB receives
+    per-algorithm measured cycles plus the fastest algorithm as
+    ``winner_algorithm``.  Returns the DB, so ``set_tuner(tune(specs))``
+    is a one-liner.
 
     The process-wide plan cache is invalidated afterwards: if a tuner
     backed by ``db`` is installed, fresh measurements may change what
@@ -120,37 +116,36 @@ def tune(
     """
     if db is None:
         db = TuneDB()
-    if engine is None:
-        engine = SweepEngine(workers=workers)
-    seen = set()
-    for spec in specs:
-        auto_spec = spec.with_algorithm("auto")
-        if auto_spec in seen:
-            continue
-        seen.add(auto_spec)
-        entries = registry.entries_for(auto_spec.kind, auto_spec.dims)
-        candidates = [
-            name for name in sorted(entries)
-            if entries[name].feasible(auto_spec.with_algorithm(name))
-        ]
-        if not candidates:
-            continue
-        forced = [auto_spec.with_algorithm(name) for name in candidates]
-        data = _tune_input(auto_spec, np.random.default_rng(seed))
-        outcomes = engine.sweep(forced, [data] * len(forced))
-        measured = {
-            name: outcome.measured_cycles
-            for name, outcome in zip(candidates, outcomes)
-        }
-        winner = min(candidates, key=lambda name: (measured[name], name))
-        winner_outcome = outcomes[candidates.index(winner)]
-        db.record(
-            auto_spec,
-            predicted_cycles=winner_outcome.predicted_cycles,
-            measured_cycles=measured[winner],
-            winner_algorithm=winner,
-            measured=measured,
-            backend=winner_outcome.sim.backend,
-        )
+    with session_or_new(session, workers=workers) as active:
+        seen = set()
+        for spec in specs:
+            auto_spec = spec.with_algorithm("auto")
+            if auto_spec in seen:
+                continue
+            seen.add(auto_spec)
+            entries = registry.entries_for(auto_spec.kind, auto_spec.dims)
+            candidates = [
+                name for name in sorted(entries)
+                if entries[name].feasible(auto_spec.with_algorithm(name))
+            ]
+            if not candidates:
+                continue
+            forced = [auto_spec.with_algorithm(name) for name in candidates]
+            data = seeded_input(auto_spec, seed)
+            outcomes = active.sweep(forced, [data] * len(forced))
+            measured = {
+                name: outcome.measured_cycles
+                for name, outcome in zip(candidates, outcomes)
+            }
+            winner = min(candidates, key=lambda name: (measured[name], name))
+            winner_outcome = outcomes[candidates.index(winner)]
+            db.record(
+                auto_spec,
+                predicted_cycles=winner_outcome.predicted_cycles,
+                measured_cycles=measured[winner],
+                winner_algorithm=winner,
+                measured=measured,
+                backend=winner_outcome.sim.backend,
+            )
     PLAN_CACHE.clear()
     return db

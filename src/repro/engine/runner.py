@@ -3,20 +3,17 @@
 ``repro.engine.sweep`` is the batch analogue of ``wse.run_many`` with
 process-pool fan-out.  Resolution order for *where* the batch runs:
 
-1. an explicit ``engine`` (a configured :class:`SweepEngine`);
-2. an explicit ``session`` (a warm :class:`EngineSession` pool);
-3. the module-default session (:func:`repro.engine.use_session` /
+1. an explicit ``session`` (a warm :class:`EngineSession` pool);
+2. the module-default session (:func:`repro.engine.use_session` /
    :func:`~repro.engine.session.set_session`) — but only when the
    caller did not force a ``workers`` count of its own;
-4. a fresh ephemeral engine (pool per call), the PR-4 behavior.
+3. a session created for this one call and closed after it.
 
 After every call :func:`last_stats` holds a snapshot of the executing
-engine's cumulative :class:`~repro.engine.pool.EngineStats` — including
-the failure/recovery counters (``retries``, ``timeouts``,
-``requeued_chunks``, ``pool_replacements``, ``quarantined``,
-``degraded``) — so even ephemeral-engine callers can observe what the
-sweep survived.  For observability or reuse across calls, hold a
-:class:`SweepEngine` or :class:`EngineSession` directly.
+session's cumulative :class:`~repro.engine.session.EngineStats` — the
+failure/recovery counters included — so even one-off callers can
+observe what the sweep survived.  For reuse across calls, hold an
+:class:`EngineSession` directly.
 """
 
 from __future__ import annotations
@@ -28,20 +25,19 @@ import numpy as np
 
 from ..core.api import CollectiveOutcome
 from ..core.registry import CollectiveSpec
-from .pool import EngineStats, SweepEngine
-from .session import EngineSession, get_session
+from .session import EngineSession, EngineStats, get_session, session_or_new
 
 __all__ = ["sweep", "last_stats"]
 
-# Snapshot of the most recent sweep()'s engine stats (see last_stats).
+# Snapshot of the most recent sweep()'s session stats (see last_stats).
 _LAST: Dict[str, Optional[EngineStats]] = {"stats": None}
 
 
 def last_stats() -> Optional[EngineStats]:
-    """Stats snapshot of the engine the most recent :func:`sweep` used.
+    """Stats snapshot of the session the most recent :func:`sweep` used.
 
-    Cumulative for that engine (a session's engine keeps counting across
-    calls; an ephemeral engine's counters cover just the one sweep), and
+    Cumulative for that session (a held session keeps counting across
+    calls; a one-off session's counters cover just the one sweep), and
     frozen at return time — later sweeps do not mutate old snapshots.
     ``None`` before the first call.
     """
@@ -52,7 +48,6 @@ def sweep(
     specs: Sequence[CollectiveSpec],
     datas: Sequence[np.ndarray],
     workers: Optional[int] = None,
-    engine: Optional[SweepEngine] = None,
     session: Optional[EngineSession] = None,
 ) -> List[CollectiveOutcome]:
     """Execute ``specs[i]`` on ``datas[i]``; results in input order.
@@ -60,19 +55,13 @@ def sweep(
     Plans once per distinct spec, fans the simulations out over worker
     processes (default: every CPU the process may use; ``workers=1`` is
     exactly the serial ``run_many`` pipeline), and returns outcomes
-    bit-identical to the serial path.  Pass ``engine`` to reuse a
-    configured :class:`SweepEngine`, ``session`` to run on a persistent
-    warm pool — with neither, an installed default session is used
-    (unless ``workers`` explicitly pins a different count).
+    bit-identical to the serial path.  Pass ``session`` to run on a
+    persistent warm pool — without one, an installed default session is
+    used (unless ``workers`` explicitly pins a different count).
     """
-    if engine is None:
-        if session is None and workers is None:
-            session = get_session()
-        if session is not None:
-            outcomes = session.sweep(specs, datas)
-            _LAST["stats"] = dataclasses.replace(session.engine.stats)
-            return outcomes
-        engine = SweepEngine(workers=workers)
-    outcomes = engine.sweep(specs, datas)
-    _LAST["stats"] = dataclasses.replace(engine.stats)
+    if session is None and workers is None:
+        session = get_session()
+    with session_or_new(session, workers=workers) as active:
+        outcomes = active.sweep(specs, datas)
+        _LAST["stats"] = dataclasses.replace(active.stats)
     return outcomes

@@ -157,12 +157,7 @@ def pack(arrays: Sequence[np.ndarray]) -> Tuple[Segment, List[ArrayRef]]:
     return segment, refs
 
 
-def read(
-    segment: Segment,
-    refs: Sequence[ArrayRef],
-    copy: bool = True,
-    writeable: bool = False,
-):
+def read(segment: Segment, refs: Sequence[ArrayRef], copy: bool = True):
     """Attach ``segment`` and materialize every ref, then detach.
 
     With ``copy=True`` (the default) the returned arrays own their data
@@ -187,7 +182,7 @@ def read(
             if copy:
                 arrays.append(view.copy())
             else:
-                view.flags.writeable = writeable
+                view.flags.writeable = False
                 arrays.append(view)
     except BaseException:
         mem.close()

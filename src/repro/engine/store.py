@@ -59,8 +59,6 @@ __all__ = [
     "default_db_path",
     "spec_to_key",
     "spec_from_key",
-    "plan_cache_keys",
-    "hydrate_keys",
     "lookup_counts",
 ]
 
@@ -511,45 +509,6 @@ class TuneDB:
             if cache.lookup(spec) is not None:
                 hydrated += 1
         return hydrated
-
-
-def plan_cache_keys(cache=None) -> List[Dict[str, object]]:
-    """JSON-safe spec keys of every plan currently cached.
-
-    This is the shippable form of a warm plan cache: an
-    :class:`~repro.engine.session.EngineSession` sends these keys to its
-    pool workers on attach, and each worker re-plans them locally
-    (:func:`hydrate_keys`) so its own cache starts warm even under a
-    ``spawn`` start method, where nothing is inherited.
-    """
-    from ..core.cache import PLAN_CACHE
-
-    if cache is None:
-        cache = PLAN_CACHE
-    return [spec_to_key(spec) for spec in cache.specs()]
-
-
-def hydrate_keys(keys: List[Dict[str, object]], cache=None) -> int:
-    """Re-plan every spec key into a plan cache; returns #hydrated.
-
-    The worker-side half of :func:`plan_cache_keys`.  Keys the current
-    registry cannot plan (stale algorithms, incompatible shapes) are
-    skipped, mirroring :meth:`TuneDB.hydrate_plan_cache`.
-    """
-    from ..core import api
-    from ..core.cache import PLAN_CACHE
-
-    if cache is None:
-        cache = PLAN_CACHE
-    hydrated = 0
-    for key in keys:
-        try:
-            spec = spec_from_key(key)
-            cache.get_or_plan(spec, lambda s: api.plan(s, use_cache=False))
-        except (ValueError, KeyError, TypeError):
-            continue
-        hydrated += 1
-    return hydrated
 
 
 #: The store doubles as the persistent face of the plan cache — the

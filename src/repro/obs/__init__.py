@@ -4,7 +4,7 @@ The observability layer for the whole pipeline (planner → engine →
 workers → simulator):
 
 * :mod:`repro.obs.metrics` — labeled counters/gauges/histograms plus
-  registered sources (:class:`~repro.engine.pool.EngineStats`, the plan
+  registered sources (:class:`~repro.engine.session.EngineStats`, the plan
   cache, TuneDB lookups) behind one :data:`METRICS` registry;
 * :mod:`repro.obs.spans` — nestable ``with span("plan"):`` timing with
   process/thread context; worker-side spans ride home in chunk replies

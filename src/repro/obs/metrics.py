@@ -1,7 +1,7 @@
 """Process-wide metrics registry: counters, gauges, histograms, sources.
 
 One registry (:data:`METRICS`) unifies the repo's previously-disconnected
-observability islands — :class:`~repro.engine.pool.EngineStats`,
+observability islands — :class:`~repro.engine.session.EngineStats`,
 ``PLAN_CACHE.stats()``, TuneDB hit/miss — behind labeled series:
 
 >>> from repro.obs.metrics import MetricsRegistry

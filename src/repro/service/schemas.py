@@ -14,10 +14,11 @@ The center of the vocabulary is :class:`SpecRequest`, the wire form of
 that convert losslessly in both directions (:meth:`SpecRequest.to_spec`
 / :meth:`SpecRequest.from_spec`).  Sweep items carry either an explicit
 ``data`` array (nested JSON lists) or a deterministic ``seed`` —
-:func:`seeded_input` derives the exact same input the library path
-would, which is what makes "service result == library result,
-bit-identical" a testable claim: JSON floats round-trip float64 exactly
-(``repr`` shortest-round-trip on write, exact binary64 on parse).
+:func:`seeded_input` (:mod:`repro.core.api`'s, re-exported here; the
+autotuner measures on the same one) derives the exact same input the
+library path would, which is what makes "service result == library
+result, bit-identical" a testable claim: JSON floats round-trip float64
+exactly (``repr`` shortest-round-trip on write, exact binary64 on parse).
 
 Machine parameters are the default :data:`~repro.model.params.CS2` —
 the service serves one machine; callers needing custom params hold the
@@ -31,6 +32,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..core.api import seeded_input
 from ..core.registry import COLLECTIVE_KINDS, REDUCE_OPS, CollectiveSpec
 from ..fabric.geometry import Grid
 
@@ -509,16 +511,3 @@ class ErrorResponse:
             errors=tuple(payload.get("errors", ())),
             retry_after=payload.get("retry_after"),
         )
-
-
-def seeded_input(spec: CollectiveSpec, seed: int) -> np.ndarray:
-    """The deterministic input a seeded sweep item denotes.
-
-    Mirrors the autotuner's input shape rules (broadcast takes one
-    ``B``-vector; every other kind takes per-PE rows) so library callers
-    and the service derive byte-identical arrays from the same seed.
-    """
-    rng = np.random.default_rng(seed)
-    if spec.kind == "broadcast":
-        return rng.normal(size=spec.b)
-    return rng.normal(size=(spec.grid.size, spec.b))

@@ -54,3 +54,29 @@ def shm_leak_guard():
         leaked = set(glob.glob(pattern)) - before
     assert not leaked, f"leaked shm segments: {sorted(leaked)}"
 
+
+@pytest.fixture()
+def close_sessions(monkeypatch):
+    """Close every ``EngineSession`` a test created and left open.
+
+    A session dropped without ``close()`` keeps its pool until the
+    garbage collector tears it down in the background, so an abandoned
+    (timed-out, still sleeping) attempt would wake up and run *inside
+    the next test*, taking a core from chunks that test holds to a
+    deadline.  Closing here waits for such stragglers — what a one-off
+    ``engine.sweep(workers=N)`` does itself — and keeps tests isolated.
+    List it after ``shm_leak_guard`` so it is torn down first.
+    """
+    from repro.engine import EngineSession
+
+    created = []
+    init = EngineSession.__init__
+
+    def recording_init(session, *args, **kwargs):
+        init(session, *args, **kwargs)
+        created.append(session)
+
+    monkeypatch.setattr(EngineSession, "__init__", recording_init)
+    yield
+    for session in created:
+        session.close()

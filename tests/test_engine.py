@@ -23,7 +23,7 @@ from repro.core import planner
 from repro.fabric.simulator import resolve_backend
 from repro.core.cache import PLAN_CACHE, PlanCache
 from repro.engine import (
-    SweepEngine,
+    EngineSession,
     TuneDB,
     Tuner,
     default_workers,
@@ -36,7 +36,7 @@ from repro.engine import (
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
-pytestmark = pytest.mark.usefixtures("shm_leak_guard")
+pytestmark = pytest.mark.usefixtures("shm_leak_guard", "close_sessions")
 
 
 @pytest.fixture(autouse=True)
@@ -67,7 +67,7 @@ class TestSerialParallelEquivalence:
     def test_bit_identical_to_run_many(self, rng, workers):
         specs, datas = _mixed_batch(rng)
         baseline = wse.run_many(specs, datas)
-        engine = SweepEngine(workers=workers)
+        engine = EngineSession(workers=workers)
         outcomes = engine.sweep(specs, datas)
         assert len(outcomes) == len(baseline)
         for ours, ref in zip(outcomes, baseline):
@@ -87,7 +87,7 @@ class TestSerialParallelEquivalence:
     def test_parallel_sweeps_plan_in_the_parent(self, rng):
         spec = CollectiveSpec("reduce", Grid(1, 8), 16)
         datas = [rng.normal(size=(8, 16)) for _ in range(4)]
-        engine = SweepEngine(workers=2)
+        engine = EngineSession(workers=2)
         engine.sweep([spec] * 4, datas)
         engine.sweep([spec] * 4, datas)
         # Distinct specs plan once for the whole engine lifetime —
@@ -106,12 +106,12 @@ class TestSerialParallelEquivalence:
                   backend=resolve_backend(None))
         datas = [rng.normal(size=(8, 16)) for _ in range(3)]
         with use_tuner(db):
-            outs = SweepEngine(workers=2).sweep([spec] * 3, datas)
+            outs = EngineSession(workers=2).sweep([spec] * 3, datas)
         # Workers execute the parent's (tuned) plan — no divergence.
         assert all(o.algorithm == loser for o in outs)
 
     def test_length_mismatch_rejected(self, rng):
-        engine = SweepEngine(workers=2)
+        engine = EngineSession(workers=2)
         with pytest.raises(ValueError, match="specs"):
             engine.sweep(
                 [CollectiveSpec("reduce", Grid(1, 4), 8)],
@@ -123,13 +123,13 @@ class TestSerialParallelEquivalence:
         good = CollectiveSpec("reduce", Grid(1, 4), 8)
         datas = [rng.normal(size=(4, 10)), rng.normal(size=(4, 8))]
         with pytest.raises(ValueError, match="ring"):
-            SweepEngine(workers=2).sweep([bad, good], datas)
+            EngineSession(workers=2).sweep([bad, good], datas)
         with pytest.raises(ValueError, match="ring"):
-            SweepEngine(workers=1).sweep([bad, good], datas)
+            EngineSession(workers=1).sweep([bad, good], datas)
 
     def test_stats_accumulate(self, rng):
         specs, datas = _mixed_batch(rng, repeats=1)
-        engine = SweepEngine(workers=2)
+        engine = EngineSession(workers=2)
         engine.sweep(specs, datas)
         engine.sweep(specs, datas)
         stats = engine.stats
@@ -143,7 +143,7 @@ class TestSerialParallelEquivalence:
 
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError):
-            SweepEngine(workers=0)
+            EngineSession(workers=0)
         assert default_workers() >= 1
 
     def test_bench_worker_env_resolution(self, monkeypatch):
@@ -315,7 +315,7 @@ class TestTunerOverridesPlanner:
     def test_tune_driver_measures_all_feasible_candidates(self, tmp_path):
         spec = CollectiveSpec("reduce", Grid(1, 4), 8)
         db = tune([spec], db=TuneDB(tmp_path / "db.jsonl"),
-                  engine=SweepEngine(workers=1))
+                  session=EngineSession(workers=1))
         record = db.lookup(spec)
         assert set(record.measured) == {
             "star", "chain", "tree", "two_phase", "autogen",
@@ -328,6 +328,71 @@ class TestTunerOverridesPlanner:
         assert len(db) == 1
 
 
+class TestTuneDriver:
+    #: each has several feasible candidates, so each sweep goes parallel.
+    SPECS = [
+        CollectiveSpec("reduce", Grid(1, 4), 8),
+        CollectiveSpec("allreduce", Grid(1, 4), 8),
+        CollectiveSpec("reduce", Grid(1, 8), 16),
+    ]
+
+    def test_one_session_and_one_pool_per_tune_call(self, tmp_path,
+                                                    monkeypatch):
+        """``tune(workers=N)`` runs every spec on one session it creates
+        and closes: one pool start-up, not one per spec."""
+        closed = []
+        close = EngineSession.close
+
+        def recording_close(session):
+            closed.append(session)
+            close(session)
+
+        monkeypatch.setattr(EngineSession, "close", recording_close)
+        tune(self.SPECS, db=TuneDB(tmp_path / "db.jsonl"), workers=2)
+        assert len(closed) == 1 and closed[0].closed
+        stats = closed[0].stats
+        assert stats.sweeps == len(self.SPECS)
+        assert stats.cold_starts == 1
+        assert stats.pool_reuses == len(self.SPECS) - 1
+
+    def test_a_given_session_is_used_and_left_open(self, tmp_path):
+        with EngineSession(workers=2) as session:
+            tune(self.SPECS, db=TuneDB(tmp_path / "db.jsonl"),
+                 session=session)
+            assert not session.closed
+            assert session.stats.sweeps == len(self.SPECS)
+            assert session.stats.cold_starts == 1
+
+    @pytest.mark.parametrize("spec", [
+        SPECS[0], CollectiveSpec("broadcast", Grid(1, 6), 12),
+    ], ids=lambda s: s.kind)
+    def test_tuner_and_service_share_one_seeded_input(self, spec, tmp_path):
+        """The tuner measures on exactly the array the service derives
+        for a seeded sweep item: one definition, byte-identical."""
+        from repro.core.api import seeded_input
+        from repro.service import schemas
+
+        assert schemas.seeded_input is seeded_input
+
+        class Recording(EngineSession):
+            def sweep(self, specs, datas):
+                seen.extend(datas)
+                return super().sweep(specs, datas)
+
+        seen = []
+        with Recording(workers=1) as session:
+            tune([spec], db=TuneDB(tmp_path / "db.jsonl"), session=session,
+                 seed=5)
+        service_side = schemas.SweepItem(
+            spec=schemas.SpecRequest.from_spec(spec), seed=5
+        ).input_array()
+        assert seen and all(
+            data.tobytes() == service_side.tobytes()
+            and data.shape == service_side.shape for data in seen
+        )
+        assert service_side.ndim == (1 if spec.kind == "broadcast" else 2)
+
+
 class TestPersistenceAcrossProcesses:
     def test_warm_db_hydrates_a_fresh_process(self, tmp_path):
         db_path = tmp_path / "db.jsonl"
@@ -335,10 +400,10 @@ class TestPersistenceAcrossProcesses:
         # Write the DB in a *child* process, then hydrate here.
         script = textwrap.dedent("""
             from repro import CollectiveSpec, Grid
-            from repro.engine import SweepEngine, TuneDB, tune
+            from repro.engine import EngineSession, TuneDB, tune
             spec = CollectiveSpec("reduce", Grid(1, 8), 16)
             db = tune([spec], db=TuneDB({path!r}),
-                      engine=SweepEngine(workers=1))
+                      session=EngineSession(workers=1))
             assert db.winner(spec) is not None
         """).format(path=str(db_path))
         env = os.environ.copy()

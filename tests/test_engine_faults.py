@@ -5,7 +5,7 @@ deterministic (:mod:`repro.engine.faults`): a seeded plan kills workers
 mid-chunk, delays chunks past their deadline, corrupts shm descriptors
 and tears store appends — and under *every* one of them a sweep must
 complete with outcomes bit-identical to the serial run, with the
-recovery visible in :class:`~repro.engine.pool.EngineStats`
+recovery visible in :class:`~repro.engine.session.EngineStats`
 (``retries``/``timeouts``/``requeued_chunks``/``pool_replacements``/
 ``quarantined``/``degraded``) and any torn store line detected by
 ``fsck`` and repaired by ``compact``.
@@ -20,7 +20,6 @@ from repro import CollectiveSpec, Grid, wse
 from repro.core.cache import PLAN_CACHE
 from repro.engine import (
     EngineSession,
-    SweepEngine,
     TuneDB,
     faults,
     last_stats,
@@ -29,7 +28,7 @@ from repro.engine import (
 )
 from repro.engine.faults import FaultPlan, FaultSpec
 
-pytestmark = pytest.mark.usefixtures("shm_leak_guard")
+pytestmark = pytest.mark.usefixtures("shm_leak_guard", "close_sessions")
 
 
 @pytest.fixture(autouse=True)
@@ -151,8 +150,8 @@ class TestChunkRetry:
         specs, datas = _batch(rng)
         baseline = wse.run_many(specs, datas)
         with use_faults("shm@0"):
-            engine = SweepEngine(workers=2, shm_threshold=0,
-                                 backoff_base=0.01)
+            engine = EngineSession(workers=2, shm_threshold=0,
+                                   backoff_base=0.01)
             outs = engine.sweep(specs, datas)
         _assert_outcomes_equal(outs, baseline)
         assert engine.stats.retries >= 1
@@ -166,7 +165,7 @@ class TestChunkRetry:
         good = [rng.normal(size=(8, 16)) for _ in range(6)]
         bad = list(good)
         bad[3] = rng.normal(size=(3, 3))       # wrong shape: always raises
-        engine = SweepEngine(workers=2, backoff_base=0.01)
+        engine = EngineSession(workers=2, backoff_base=0.01)
         with pytest.raises(ValueError):
             engine.sweep([SPEC] * 6, bad)
         assert engine.stats.retries == engine.stats.as_dict()["retries"] >= 1
@@ -177,8 +176,8 @@ class TestChunkRetry:
         )
 
     def test_backoff_is_seeded_and_bounded(self):
-        a = SweepEngine(workers=2, retry_seed=7)
-        b = SweepEngine(workers=2, retry_seed=7)
+        a = EngineSession(workers=2, retry_seed=7)
+        b = EngineSession(workers=2, retry_seed=7)
         assert [a._retry_rng.random() for _ in range(4)] == \
                [b._retry_rng.random() for _ in range(4)]
 
@@ -188,8 +187,8 @@ class TestChunkTimeout:
         specs, datas = _batch(rng)
         baseline = wse.run_many(specs, datas)
         with use_faults("delay@0=0.8"):
-            engine = SweepEngine(workers=2, chunk_timeout=0.2,
-                                 backoff_base=0.01)
+            engine = EngineSession(workers=2, chunk_timeout=0.2,
+                                   backoff_base=0.01)
             outs = engine.sweep(specs, datas)
         _assert_outcomes_equal(outs, baseline)
         assert engine.stats.timeouts >= 1
@@ -199,8 +198,8 @@ class TestChunkTimeout:
         specs, datas = _batch(rng)
         baseline = wse.run_many(specs, datas)
         with use_faults("delay@0=0.8"):
-            engine = SweepEngine(workers=2, chunk_timeout=0.2,
-                                 max_retries=0, backoff_base=0.01)
+            engine = EngineSession(workers=2, chunk_timeout=0.2,
+                                   max_retries=0, backoff_base=0.01)
             outs = engine.sweep(specs, datas)
         _assert_outcomes_equal(outs, baseline)
         assert engine.stats.timeouts == 1
@@ -209,17 +208,17 @@ class TestChunkTimeout:
 
     def test_timeout_knob_env_resolution(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHUNK_TIMEOUT", raising=False)
-        assert SweepEngine(workers=1).chunk_timeout is None
+        assert EngineSession(workers=1).chunk_timeout is None
         monkeypatch.setenv("REPRO_CHUNK_TIMEOUT", "2.5")
-        assert SweepEngine(workers=1).chunk_timeout == 2.5
+        assert EngineSession(workers=1).chunk_timeout == 2.5
         monkeypatch.setenv("REPRO_CHUNK_TIMEOUT", "0")   # off switch
-        assert SweepEngine(workers=1).chunk_timeout is None
+        assert EngineSession(workers=1).chunk_timeout is None
         monkeypatch.setenv("REPRO_CHUNK_TIMEOUT", "soon")
         with pytest.raises(ValueError, match="REPRO_CHUNK_TIMEOUT"):
-            SweepEngine(workers=1)
+            EngineSession(workers=1)
         monkeypatch.setenv("REPRO_MAX_RETRIES", "5")
         monkeypatch.delenv("REPRO_CHUNK_TIMEOUT", raising=False)
-        assert SweepEngine(workers=1).max_retries == 5
+        assert EngineSession(workers=1).max_retries == 5
 
 
 class TestPoolLossRecovery:
@@ -227,7 +226,7 @@ class TestPoolLossRecovery:
         specs, datas = _batch(rng)
         baseline = wse.run_many(specs, datas)
         with use_faults("kill@1"):
-            engine = SweepEngine(workers=2, backoff_base=0.01)
+            engine = EngineSession(workers=2, backoff_base=0.01)
             outs = engine.sweep(specs, datas)
         _assert_outcomes_equal(outs, baseline)
         assert engine.stats.pool_replacements == 1
@@ -244,7 +243,7 @@ class TestPoolLossRecovery:
                 _assert_outcomes_equal(session.sweep(specs, datas), baseline)
             assert session.stats.pool_replacements == 1
             # The replacement is attached and warm: reused, not rebuilt.
-            assert session.engine.pool is not None
+            assert session.pool is not None
             reuses = session.stats.pool_reuses
             _assert_outcomes_equal(session.sweep(specs, datas), baseline)
             assert session.stats.pool_reuses == reuses + 1
@@ -254,8 +253,8 @@ class TestPoolLossRecovery:
         specs, datas = _batch(rng)
         baseline = wse.run_many(specs, datas)
         with use_faults("kill@0"):
-            engine = SweepEngine(workers=2, max_pool_deaths=0,
-                                 backoff_base=0.01)
+            engine = EngineSession(workers=2, max_pool_deaths=0,
+                                   backoff_base=0.01)
             outs = engine.sweep(specs, datas)
         _assert_outcomes_equal(outs, baseline)
         assert engine.degraded
@@ -383,8 +382,8 @@ class TestAcceptance:
     def test_kill_timeout_and_torn_append_on_one_engine(self, rng, tmp_path):
         specs, datas = _batch(rng)
         baseline = wse.run_many(specs, datas)
-        engine = SweepEngine(workers=2, chunk_timeout=0.2,
-                             backoff_base=0.01, shm_threshold=0)
+        engine = EngineSession(workers=2, chunk_timeout=0.2,
+                               backoff_base=0.01, shm_threshold=0)
         db = TuneDB(tmp_path / "db.jsonl")
         # Sweep 1 consumes chunk occurrences 0-5, sweep 2 consumes 6-11:
         # the delay lands mid-sweep-1, the kill lands mid-sweep-2, and
@@ -412,8 +411,8 @@ class TestAcceptance:
         specs, datas = _batch(rng)
         baseline = wse.run_many(specs, datas)
         with use_faults("delay@0=0.6;shm@2;kill@4"):
-            engine = SweepEngine(workers=2, chunk_timeout=0.2,
-                                 backoff_base=0.01, shm_threshold=0)
+            engine = EngineSession(workers=2, chunk_timeout=0.2,
+                                   backoff_base=0.01, shm_threshold=0)
             outs = engine.sweep(specs, datas)
         _assert_outcomes_equal(outs, baseline)
         assert engine.stats.retries + engine.stats.requeued_chunks >= 1
@@ -453,7 +452,7 @@ class TestEnvDrivenChaos:
         assert injector is not None
         specs, datas = _batch(rng)
         baseline = wse.run_many(specs, datas)   # draws no fault sites
-        engine = SweepEngine(workers=2, shm_threshold=0, backoff_base=0.01)
+        engine = EngineSession(workers=2, shm_threshold=0, backoff_base=0.01)
         _assert_outcomes_equal(engine.sweep(specs, datas), baseline)
         db = TuneDB(tmp_path / "db.jsonl")
         db.record(SPEC, predicted_cycles=1.0)

@@ -18,7 +18,6 @@ from repro import CollectiveSpec, Grid, wse
 from repro.core.cache import PLAN_CACHE
 from repro.engine import (
     EngineSession,
-    SweepEngine,
     TuneDB,
     get_session,
     set_session,
@@ -27,7 +26,7 @@ from repro.engine import (
 )
 from repro.engine import shm
 
-pytestmark = pytest.mark.usefixtures("shm_leak_guard")
+pytestmark = pytest.mark.usefixtures("shm_leak_guard", "close_sessions")
 
 
 @pytest.fixture(autouse=True)
@@ -125,7 +124,7 @@ class TestSessionLifecycle:
             _assert_outcomes_equal(
                 session.sweep(specs, datas), wse.run_many(specs, datas)
             )
-        assert session.engine.pool is None
+        assert session.pool is None
         assert session.stats.cold_starts == 0
         assert session.stats.serial_points == len(specs)
 
@@ -141,7 +140,7 @@ class TestSessionLifecycle:
                 queue.put((
                     [o.measured_cycles for o in outs],
                     session.stats.serial_points,
-                    session.engine.pool is None,
+                    session.pool is None,
                 ))
 
         proc = ctx.Process(target=body, args=(queue,), daemon=True)
@@ -158,12 +157,12 @@ class TestSessionLifecycle:
         with EngineSession(workers=2, backoff_base=0.01) as session:
             _assert_outcomes_equal(session.sweep(specs, datas), baseline)
             # Kill the pool out from under the session.
-            session.engine.pool.submit(os._exit, 13)
+            session.pool.submit(os._exit, 13)
             # The dying pool is replaced *within* the sweep — the session
             # supplies a hydrated substitute and the sweep still finishes
             # bit-identical, without falling back to serial.
             _assert_outcomes_equal(session.sweep(specs, datas), baseline)
-            assert session.engine.pool is not None
+            assert session.pool is not None
             assert session.stats.pool_replacements == 1
             assert session.stats.cold_starts == 1
             # The replacement is warm: the next sweep just reuses it.
@@ -240,7 +239,7 @@ class TestShmLeakFreedom:
     def test_ephemeral_engine_cleans_up_too(self, rng):
         specs, datas = _mixed_batch(rng)
         before = set(_shm_segments())
-        engine = SweepEngine(workers=2, shm_threshold=0)
+        engine = EngineSession(workers=2, shm_threshold=0)
         engine.sweep(specs, datas)
         assert engine.stats.shm_chunks > 0
         assert set(_shm_segments()) <= before

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.cache import PLAN_CACHE
 from repro.core.registry import CollectiveSpec
-from repro.engine.pool import EngineStats, SweepEngine
+from repro.engine import EngineSession, EngineStats
 from repro.fabric.geometry import Grid
 from repro.obs import export, report, spans
 from repro.obs.metrics import METRICS, MetricsRegistry, series_key
@@ -385,7 +385,7 @@ def test_last_stats_reaches_registry_via_source():
 
     spec = CollectiveSpec("reduce", Grid(1, 8), 8)
     data = np.arange(8 * 8, dtype=np.float64).reshape(8, 8)
-    runner.sweep([spec], [data], engine=SweepEngine(workers=1))
+    runner.sweep([spec], [data], session=EngineSession(workers=1))
     snap = METRICS.snapshot()
     assert snap["engine.stats.points"] >= 1
     assert "engine.stats.sim_backend" in snap

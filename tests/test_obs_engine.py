@@ -22,12 +22,12 @@ import pytest
 
 from repro.core.cache import PLAN_CACHE
 from repro.core.registry import CollectiveSpec
-from repro.engine import SweepEngine, faults, use_faults
+from repro.engine import EngineSession, faults, use_faults
 from repro.fabric.geometry import Grid
 from repro.obs import export, spans
 from repro.obs.metrics import METRICS
 
-pytestmark = pytest.mark.usefixtures("shm_leak_guard")
+pytestmark = pytest.mark.usefixtures("shm_leak_guard", "close_sessions")
 
 SPEC = CollectiveSpec("reduce", Grid(1, 8), 16)
 
@@ -80,7 +80,7 @@ class TestFaultySweepTrace:
         specs, datas = _batch(rng)
         with export.use_telemetry(trace=str(trace_path)):
             with use_faults("kill@1"):
-                engine = SweepEngine(workers=2, backoff_base=0.01)
+                engine = EngineSession(workers=2, backoff_base=0.01)
                 engine.sweep(specs, datas)
         assert engine.stats.pool_replacements >= 1
 
@@ -119,8 +119,8 @@ class TestFaultySweepTrace:
         specs, datas = _batch(rng, n=6)
         with export.use_telemetry() as got:
             with use_faults("delay@0=0.8"):
-                engine = SweepEngine(workers=2, chunk_timeout=0.2,
-                                     backoff_base=0.01)
+                engine = EngineSession(workers=2, chunk_timeout=0.2,
+                                       backoff_base=0.01)
                 engine.sweep(specs, datas)
         assert engine.stats.timeouts >= 1
         assert engine.stats.retries >= 1
@@ -130,10 +130,10 @@ class TestFaultySweepTrace:
 
     def test_outcomes_bit_identical_telemetry_on_vs_off(self, rng):
         specs, datas = _batch(rng)
-        engine_off = SweepEngine(workers=2)
+        engine_off = EngineSession(workers=2)
         baseline = engine_off.sweep(specs, datas)
         with export.use_telemetry():
-            engine_on = SweepEngine(workers=2)
+            engine_on = EngineSession(workers=2)
             traced = engine_on.sweep(specs, datas)
         _assert_outcomes_equal(traced, baseline)
 
@@ -142,7 +142,7 @@ class TestZeroCostDisabled:
     def test_disabled_run_emits_no_files(self, rng, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         specs, datas = _batch(rng, n=4)
-        SweepEngine(workers=1).sweep(specs, datas)
+        EngineSession(workers=1).sweep(specs, datas)
         assert os.listdir(tmp_path) == []
 
     def test_disabled_adds_no_measurable_overhead(self, rng):
@@ -155,7 +155,7 @@ class TestZeroCostDisabled:
         path do real work trips this.
         """
         specs, datas = _batch(rng, n=8)
-        engine = SweepEngine(workers=1)
+        engine = EngineSession(workers=1)
         engine.sweep(specs, datas)  # warm the plan cache
 
         def once(enabled):
