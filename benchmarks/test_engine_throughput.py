@@ -1,6 +1,6 @@
-"""Engine throughput: serial vs cold-pool vs warm-session, shm on/off.
+"""Engine throughput: serial vs cold-pool vs warm-session.
 
-Times the same 64-point batch four ways and writes
+Times the same 64-point batch three ways and writes
 ``benchmarks/out/BENCH_engine.json``:
 
 * **serial** — ``EngineSession(workers=1)``, the plain plan/execute
@@ -9,10 +9,8 @@ Times the same 64-point batch four ways and writes
   startup and shutdown both paid inside the measured window (what a
   one-off ``engine.sweep(workers=N)`` costs);
 * **warm** — an :class:`EngineSession`'s persistent pool, measured
-  *after* a warm-up sweep, so the startup cost is amortized away;
-* **shm on / off** — the warm session again with the shared-memory data
-  plane forced on (``shm_threshold=0``) and forced off (``-1``),
-  isolating what descriptor shipping saves over pickled buffers.
+  *after* a warm-up sweep, so the startup cost is amortized away; every
+  chunk it ships rides the shared-memory data plane.
 
 Every variant must agree with serial bit for bit; the JSON records all
 throughputs and ratios honestly on any machine, while the speedup
@@ -88,19 +86,6 @@ def test_engine_throughput_64_points(out_dir):
         _assert_identical(warm_outs, serial_outs, "warm session")
         warm_stats = session.stats.as_dict()
 
-    # Shm A/B on a warm pool: all chunks through segments vs none.
-    with EngineSession(workers=PARALLEL_WORKERS, shm_threshold=0) as session:
-        session.sweep(specs, datas)
-        shm_on_outs, shm_on_s = _timed(session.sweep, specs, datas)
-        _assert_identical(shm_on_outs, serial_outs, "shm on")
-        shm_chunks = session.stats.shm_chunks
-        shm_bytes = session.stats.shm_bytes
-    with EngineSession(workers=PARALLEL_WORKERS, shm_threshold=-1) as session:
-        session.sweep(specs, datas)
-        shm_off_outs, shm_off_s = _timed(session.sweep, specs, datas)
-        _assert_identical(shm_off_outs, serial_outs, "shm off")
-        assert session.stats.shm_chunks == 0
-
     cores = default_workers()
 
     def rate(seconds):
@@ -116,21 +101,14 @@ def test_engine_throughput_64_points(out_dir):
         "serial_seconds": round(serial_s, 3),
         "cold_seconds": round(cold_s, 3),
         "warm_seconds": round(warm_s, 3),
-        "shm_on_seconds": round(shm_on_s, 3),
-        "shm_off_seconds": round(shm_off_s, 3),
         "points_per_sec_serial": rate(serial_s),
         "points_per_sec_cold": rate(cold_s),
         "points_per_sec_warm": rate(warm_s),
-        "points_per_sec_shm_on": rate(shm_on_s),
-        "points_per_sec_shm_off": rate(shm_off_s),
         "speedup_cold_vs_serial": round(serial_s / cold_s, 3) if cold_s else 0.0,
         "speedup_warm_vs_serial": round(serial_s / warm_s, 3) if warm_s else 0.0,
         "speedup_warm_vs_cold": round(cold_s / warm_s, 3) if warm_s else 0.0,
-        "speedup_shm_on_vs_off": (
-            round(shm_off_s / shm_on_s, 3) if shm_on_s else 0.0
-        ),
-        "shm_chunks": shm_chunks,
-        "shm_bytes": shm_bytes,
+        "shm_chunks": warm_stats["shm_chunks"],
+        "shm_bytes": warm_stats["shm_bytes"],
         "warm_pool_reuses": warm_stats["pool_reuses"],
         "warm_cold_starts": warm_stats["cold_starts"],
         "chunks": warm_stats["chunks"],
@@ -147,8 +125,8 @@ def test_engine_throughput_64_points(out_dir):
     assert warm_stats["parallel_points"] == 2 * N_POINTS
     assert warm_stats["cold_starts"] == 1
     assert warm_stats["pool_reuses"] == 1
-    assert shm_chunks > 0
-    assert shm_bytes > 0
+    assert warm_stats["shm_chunks"] == warm_stats["chunks"] > 0
+    assert warm_stats["shm_bytes"] > 0
 
     speedup = report["speedup_warm_vs_serial"]
     if cores >= 4:

@@ -1,11 +1,10 @@
 """One registry for every ``REPRO_*`` environment knob.
 
 Before this module, each subsystem parsed its own environment variables
-ad hoc — the engine's retry knobs in :mod:`repro.engine.session`, the shm
-threshold in :mod:`repro.engine.shm`, the simulator backend in
-:mod:`repro.fabric.simulator`, and so on — with no single place to see
-what knobs exist, what they default to, or what the process is actually
-running with.  This module is that place:
+ad hoc — the engine's retry knobs in :mod:`repro.engine.session`, the
+simulator backend in :mod:`repro.fabric.simulator`, and so on — with no
+single place to see what knobs exist, what they default to, or what the
+process is actually running with.  This module is that place:
 
 * :data:`KNOBS` declares every knob (name, type, default, one-line
   description, owning subsystem).  Parse sites call the typed getters
@@ -17,11 +16,10 @@ running with.  This module is that place:
 
 The getters preserve the historical parse semantics exactly: an unset
 or empty variable means "use the default", and an unparsable value
-raises ``ValueError`` naming the variable (``REPRO_SHM_THRESHOLD must
-be an integer byte count, got 'lots'``) rather than failing deep inside
-a sweep.  This module imports nothing from the rest of the package, so
-any layer — core, engine, fabric, obs, service — can depend on it
-without cycles.
+raises ``ValueError`` naming the variable (``REPRO_SERVICE_PORT must
+be an integer, got 'lots'``) rather than failing deep inside a sweep.
+This module imports nothing from the rest of the package, so any layer
+— core, engine, fabric, obs, service — can depend on it without cycles.
 """
 
 from __future__ import annotations
@@ -74,10 +72,6 @@ KNOBS: Dict[str, Knob] = _knob_table(
     Knob("REPRO_SWEEP_WORKERS", "int", "1 (serial)",
          "default worker count for the figure-bench sweeps",
          "bench.sweeps"),
-    Knob("REPRO_SHM_THRESHOLD", "int", "1048576 bytes",
-         "chunk size above which arrays ship via shared memory "
-         "(negative disables)",
-         "engine.shm"),
     Knob("REPRO_CHUNK_TIMEOUT", "float", "none (no deadline)",
          "per-chunk wall-clock deadline in seconds before requeue",
          "engine.session"),
@@ -97,7 +91,7 @@ KNOBS: Dict[str, Knob] = _knob_table(
          "deterministic fault-injection plan, e.g. 'seed=42;kill@1'",
          "engine.faults"),
     Knob("REPRO_CACHE_DIR", "path", "~/.cache/repro-wse",
-         "root directory of the persistent TuneDB/PlanStore",
+         "root directory of the persistent TuneDB",
          "engine.store"),
     # -- observability ------------------------------------------------------
     Knob("REPRO_TRACE", "path", "(disabled)",

@@ -12,13 +12,13 @@ contract out and makes it durable:
   module default;
 * :mod:`repro.engine.partition` — the pure split of a batch into
   one-spec, bounded-size chunks, and its ``verify_assignments`` checker;
-* :mod:`repro.engine.transport` — the worker body and the pickle | shm
+* :mod:`repro.engine.transport` — the worker body and the shared-memory
   encoding of a chunk and its reply; the only module that touches
   segments;
 * :mod:`repro.engine.shm` — the shared-memory data plane: ``(name,
   shape, dtype, offset)`` descriptors into ``multiprocessing.
   shared_memory`` segments instead of pickled per-PE buffers;
-* :mod:`repro.engine.store` — :class:`TuneDB` / :class:`PlanStore`, an
+* :mod:`repro.engine.store` — :class:`TuneDB`, an
   append-only JSON-lines store mapping frozen specs to
   ``{predicted_cycles, measured_cycles, winner_algorithm}``; survives
   processes and re-warms the plan cache via
@@ -65,7 +65,6 @@ from .session import (
 from .store import (
     FsckIssue,
     FsckReport,
-    PlanStore,
     TuneDB,
     TuneRecord,
     default_db_path,
@@ -94,7 +93,6 @@ __all__ = [
     "use_tuner",
     "TuneDB",
     "TuneRecord",
-    "PlanStore",
     "default_db_path",
     "spec_to_key",
     "spec_from_key",

@@ -19,8 +19,7 @@ kind       site       effect
 ``delay``  chunk      the worker sleeps ``arg`` seconds before executing
                       (drives a chunk past its deadline)
 ``shm``    chunk      the chunk's shared-memory input descriptor is
-                      corrupted before shipping (the worker cannot attach;
-                      no-op for chunks on the pickle transport)
+                      corrupted before shipping (the worker cannot attach)
 ``torn``   append     the next :class:`~repro.engine.store.TuneDB` append
                       writes only a prefix of its line (a torn record,
                       as if the writer crashed mid-``write``)

@@ -21,12 +21,13 @@ persistent :class:`~concurrent.futures.ProcessPoolExecutor`:
   ``stats.pool_reuses`` the rest;
 * **serial fallback** — ``workers=1``, single-point batches, daemonic
   processes (a pool cannot nest inside a pool worker) and batches the
-  pool cannot transport (pickling failures) all run in-process; the
-  engine *changes where points run, never what they compute*.
+  pool cannot transport (pickling failures, no shared-memory segment to
+  be had) all run in-process; the engine *changes where points run,
+  never what they compute*.
 
 :mod:`repro.engine.partition` cuts a batch into chunks,
 :mod:`repro.engine.transport` moves a chunk to a worker and its outcomes
-back (pickle or shared memory), and the event loop here owns scheduling
+back (through shared memory), and the event loop here owns scheduling
 and recovery.  Chunks are self-contained plan+data units, so every
 recovery is a plain re-execution and results stay bit-identical:
 
@@ -71,7 +72,7 @@ from ..core.api import CollectiveOutcome, Plan, execute, plan
 from ..core.registry import CollectiveSpec
 from ..fabric.simulator import resolve_backend
 from ..obs import spans as _obs
-from . import faults, shm, transport
+from . import faults, transport
 from .partition import partition
 from .store import TuneDB
 
@@ -221,9 +222,6 @@ class EngineSession:
 
     Knobs (``None`` resolves the environment, then the default):
 
-    * ``shm_threshold`` — input bytes at which a chunk ships through
-      shared memory instead of pickles (``REPRO_SHM_THRESHOLD``,
-      default 1 MiB; negative disables the data plane);
     * ``chunk_timeout`` — seconds an attempt may run before it is
       abandoned and requeued (``REPRO_CHUNK_TIMEOUT``; unset/<=0: none);
     * ``max_retries`` — failed/timed-out attempts a chunk gets before
@@ -238,7 +236,6 @@ class EngineSession:
     def __init__(
         self,
         workers: Optional[int] = None,
-        shm_threshold: Optional[int] = None,
         db: Union[TuneDB, str, None] = None,
         chunk_timeout: Optional[float] = None,
         max_retries: Optional[int] = None,
@@ -249,7 +246,6 @@ class EngineSession:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = default_workers() if workers is None else int(workers)
-        self.shm_threshold = shm.resolve_threshold(shm_threshold)
         timeout = _knob(chunk_timeout, "chunk_timeout", "REPRO_CHUNK_TIMEOUT",
                         None, float)
         self.chunk_timeout = timeout if timeout and timeout > 0 else None
@@ -494,14 +490,12 @@ class EngineSession:
             }
         task.shipment = transport.ship(
             self.pool, batch.plans[task.spec],
-            [batch.datas[i] for i in task.indices],
-            self.shm_threshold, fault, meta,
+            [batch.datas[i] for i in task.indices], fault, meta,
         )
         if self.chunk_timeout:
             task.deadline = time.monotonic() + self.chunk_timeout
-        if task.shipment.segment is not None:
-            self.stats.shm_chunks += 1
-            self.stats.shm_bytes += task.shipment.segment.nbytes
+        self.stats.shm_chunks += 1
+        self.stats.shm_bytes += task.shipment.segment.nbytes
 
     def _requeue(self, batch: _Batch, task: _ChunkTask) -> None:
         """Put back a chunk whose pool died under it (not a retry)."""

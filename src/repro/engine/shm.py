@@ -8,7 +8,7 @@ instead: the sender packs them back-to-back into one named segment and
 ships only :class:`ArrayRef` descriptors ``(offset, shape, dtype)``
 plus the :class:`Segment` name; the receiver maps the segment and reads
 the arrays straight out of it.  Bytes are copied verbatim, so results
-are bit-identical to the pickle path.
+are bit-identical to in-process execution.
 
 Ownership protocol (what keeps ``/dev/shm`` leak-free):
 
@@ -20,11 +20,6 @@ Ownership protocol (what keeps ``/dev/shm`` leak-free):
 
 Segment names are ``repro_shm_<pid>_<seq>``, so a test (or an operator)
 can audit ``/dev/shm`` for leaks by prefix.
-
-The size threshold below which plain pickling is kept lives here
-(:data:`DEFAULT_THRESHOLD_BYTES`, overridable via the
-``REPRO_SHM_THRESHOLD`` environment variable); tiny chunks are cheaper
-to pickle than to segment.
 """
 
 from __future__ import annotations
@@ -32,60 +27,29 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from multiprocessing import shared_memory as _shared_memory
+from typing import List, Sequence, Tuple
 
 import numpy as np
-
-try:  # pragma: no cover - always present on CPython >= 3.8
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - exotic builds
-    _shared_memory = None
 
 __all__ = [
     "DEFAULT_THRESHOLD_BYTES",
     "NAME_PREFIX",
     "ArrayRef",
     "Segment",
-    "available",
-    "resolve_threshold",
     "pack",
     "read",
     "unlink",
 ]
 
-#: Chunks whose arrays total fewer bytes than this keep the pickle path.
+#: Arrays of at least this many bytes count as bulk in transport
+#: micro-benchmarks; every chunk ships through a segment whatever its size.
 DEFAULT_THRESHOLD_BYTES = 1 << 20  # 1 MiB
 
 #: Every segment this module creates is named with this prefix.
 NAME_PREFIX = "repro_shm"
 
 _SEQUENCE = itertools.count()
-
-
-def available() -> bool:
-    """Whether the platform offers POSIX shared memory at all."""
-    return _shared_memory is not None
-
-
-def resolve_threshold(threshold: Optional[int]) -> Optional[int]:
-    """Normalize a user/env threshold into bytes, or ``None`` = disabled.
-
-    ``threshold=None`` consults ``REPRO_SHM_THRESHOLD`` (an integer byte
-    count; any negative value disables the data plane) and falls back to
-    :data:`DEFAULT_THRESHOLD_BYTES`.  An explicit negative argument also
-    disables.  Platforms without shared memory always resolve to
-    ``None``.
-    """
-    if not available():
-        return None
-    if threshold is None:
-        from ..core import config as _config
-
-        threshold = _config.env_int(
-            "REPRO_SHM_THRESHOLD", DEFAULT_THRESHOLD_BYTES,
-            what="an integer byte count",
-        )
-    return None if threshold < 0 else int(threshold)
 
 
 @dataclass(frozen=True)
@@ -120,8 +84,6 @@ def pack(arrays: Sequence[np.ndarray]) -> Tuple[Segment, List[ArrayRef]]:
     segment persists until someone calls :func:`unlink` on its name.  The
     caller therefore *owns* the unlink obligation from this point on.
     """
-    if _shared_memory is None:  # pragma: no cover - gated by available()
-        raise RuntimeError("multiprocessing.shared_memory is unavailable")
     contiguous = [np.ascontiguousarray(a) for a in arrays]
     total = sum(a.nbytes for a in contiguous)
     mem = None
@@ -167,8 +129,6 @@ def read(segment: Segment, refs: Sequence[ArrayRef], copy: bool = True):
     alongside them; the caller must keep it alive while the views are in
     use and ``close()`` it afterwards.
     """
-    if _shared_memory is None:  # pragma: no cover - gated by available()
-        raise RuntimeError("multiprocessing.shared_memory is unavailable")
     mem = _shared_memory.SharedMemory(name=segment.name)
     try:
         arrays = []
@@ -195,8 +155,6 @@ def read(segment: Segment, refs: Sequence[ArrayRef], copy: bool = True):
 
 def unlink(name: str) -> bool:
     """Remove the named segment; idempotent (missing names are fine)."""
-    if _shared_memory is None:  # pragma: no cover - gated by available()
-        return False
     try:
         mem = _shared_memory.SharedMemory(name=name)
     except FileNotFoundError:

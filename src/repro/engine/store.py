@@ -53,7 +53,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "TuneRecord",
     "TuneDB",
-    "PlanStore",
     "FsckIssue",
     "FsckReport",
     "default_db_path",
@@ -509,8 +508,3 @@ class TuneDB:
             if cache.lookup(spec) is not None:
                 hydrated += 1
         return hydrated
-
-
-#: The store doubles as the persistent face of the plan cache — the
-#: hydration path only needs specs, which every record carries.
-PlanStore = TuneDB

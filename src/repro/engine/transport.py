@@ -1,16 +1,13 @@
 """Chunk transport: move one chunk to a pool worker and its outcomes back.
 
-Two encodings carry a chunk's arrays across the process boundary, and
-this module is the only place that knows which one a chunk used:
+A chunk's arrays cross the process boundary through
+:mod:`repro.engine.shm`, both ways: the parent packs the inputs into one
+named segment and ships ``(name, shape, dtype, offset)`` descriptors,
+and the worker packs the heavy result arrays (per-PE buffers, the
+collective result) into a reply segment.  Only the plan, the
+descriptors and the small outcome fields ride the pool's pipes.
 
-* **pickle** — small chunks ride the pool's pipes as plain arrays;
-* **shm** — chunks whose inputs total at least the session's
-  ``shm_threshold`` bytes go through :mod:`repro.engine.shm`: the parent
-  packs the inputs into one named segment and ships ``(name, shape,
-  dtype, offset)`` descriptors, and the worker packs the heavy result
-  arrays (per-PE buffers, the collective result) into a reply segment.
-
-Both copy bytes verbatim, so outcomes are bit-identical to in-process
+Bytes are copied verbatim, so outcomes are bit-identical to in-process
 execution.  Every segment is created, read and unlinked here: the parent
 owns a chunk's *input* segment from :func:`ship` on and its *reply*
 segment once the future resolves, so whoever holds a :class:`Shipment`
@@ -18,7 +15,8 @@ ends it with exactly one of :func:`consume` (it succeeded; decode its
 outcomes), :func:`discard` (it resolved and its reply will never be
 read) or :func:`abandon` (walk away before it resolves; it is discarded
 whenever it does).  :func:`reap` collects what no future names any
-more: segments created by workers of a pool that died.
+more: segments created by workers of a pool that died.  Where segments
+cannot be created, :func:`ship` raises ``OSError``.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import os
 import time
 from concurrent.futures import Executor, Future
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -54,17 +52,17 @@ class _ShmInputs:
 class _Reply:
     """What a worker answers a chunk with.
 
-    On the shm path ``segment`` names the reply segment and the
-    outcomes' ``result`` / ``sim.buffers`` values are
-    :class:`~repro.engine.shm.ArrayRef` placeholders into it;
-    :func:`consume` swaps the arrays back in.  ``events`` is the
-    worker-side telemetry, present only when the parent was recording at
-    submit time (``meta`` rode along with the chunk); :func:`consume`
-    merges it onto the parent timeline under a track named by ``pid``.
+    ``segment`` names the reply segment and the outcomes' ``result`` /
+    ``sim.buffers`` values are :class:`~repro.engine.shm.ArrayRef`
+    placeholders into it; :func:`consume` swaps the arrays back in.
+    ``events`` is the worker-side telemetry, present only when the
+    parent was recording at submit time (``meta`` rode along with the
+    chunk); :func:`consume` merges it onto the parent timeline under a
+    track named by ``pid``.
     """
 
     outcomes: List[CollectiveOutcome]
-    segment: Optional[shm.Segment] = None
+    segment: shm.Segment
     events: Optional[List[dict]] = None
     pid: int = 0
 
@@ -74,8 +72,8 @@ class Shipment:
     """One chunk attempt in flight: its future and what the parent owns."""
 
     future: Future
-    #: the parent-owned input segment (``None`` on the pickle path).
-    segment: Optional[shm.Segment] = None
+    #: the parent-owned input segment.
+    segment: shm.Segment
 
 
 # -- worker side --------------------------------------------------------------
@@ -105,12 +103,8 @@ def _with_heavy(outcomes: List[CollectiveOutcome], values):
     ]
 
 
-def _execute(
-    chunk_plan: Plan, inputs: Union[List[np.ndarray], _ShmInputs]
-) -> _Reply:
-    """Execute every point of a chunk, answering in the encoding it came in."""
-    if not isinstance(inputs, _ShmInputs):
-        return _Reply([execute(chunk_plan, data) for data in inputs])
+def _execute(chunk_plan: Plan, inputs: _ShmInputs) -> _Reply:
+    """Execute every point of a chunk and pack its reply segment."""
     # Input views are read-only — ``execute`` copies what it keeps — and
     # the input segment stays the parent's.  The reply segment is created
     # here but ownership passes to the parent with the descriptor.
@@ -125,7 +119,7 @@ def _execute(
 
 def run_chunk(
     chunk_plan: Plan,
-    inputs: Union[List[np.ndarray], _ShmInputs],
+    inputs: _ShmInputs,
     fault: Optional[faults.FaultSpec] = None,
     meta: Optional[dict] = None,
 ) -> _Reply:
@@ -163,22 +157,16 @@ def ship(
     pool: Executor,
     chunk_plan: Plan,
     datas: List[np.ndarray],
-    shm_threshold: Optional[int],
     fault: Optional[faults.FaultSpec] = None,
     meta: Optional[dict] = None,
 ) -> Shipment:
-    """Submit one chunk to ``pool`` via shm (large) or pickle (small).
+    """Pack a chunk's inputs into a segment and submit it to ``pool``.
 
-    ``shm_threshold=None`` keeps everything on the pickle path.  An
-    injected ``shm`` fault corrupts the descriptor the worker sees —
+    An injected ``shm`` fault corrupts the descriptor the worker sees —
     never the parent's own unlink handle.  ``meta`` asks the worker to
     record and return its chunk span; ``None`` keeps it on the
     untouched fast path.
     """
-    if shm_threshold is None or sum(
-        np.asarray(data).nbytes for data in datas
-    ) < shm_threshold:
-        return Shipment(pool.submit(run_chunk, chunk_plan, datas, fault, meta))
     segment, refs = shm.pack(
         [np.asarray(data, dtype=np.float64) for data in datas]
     )
@@ -213,22 +201,19 @@ def _merge_telemetry(reply: _Reply) -> None:
 def consume(shipment: Shipment) -> List[CollectiveOutcome]:
     """The outcomes of a shipment whose future resolved without error.
 
-    Decodes whichever encoding the reply used and leaves no segment
-    behind, the decode failing included.
+    Decodes the reply segment and leaves no segment behind, the decode
+    failing included.
     """
     try:
         reply = shipment.future.result()
         _merge_telemetry(reply)
-        if reply.segment is None:
-            return reply.outcomes
         try:
             arrays = shm.read(reply.segment, list(_heavy(reply.outcomes)))
         finally:
             shm.unlink(reply.segment.name)
         return _with_heavy(reply.outcomes, arrays)
     finally:
-        if shipment.segment is not None:
-            shm.unlink(shipment.segment.name)
+        shm.unlink(shipment.segment.name)
 
 
 def discard(shipment: Shipment) -> None:
@@ -237,12 +222,9 @@ def discard(shipment: Shipment) -> None:
     future = shipment.future
     try:
         if not future.cancelled() and future.exception() is None:
-            reply = future.result()
-            if reply.segment is not None:
-                shm.unlink(reply.segment.name)
+            shm.unlink(future.result().segment.name)
     finally:
-        if shipment.segment is not None:
-            shm.unlink(shipment.segment.name)
+        shm.unlink(shipment.segment.name)
 
 
 def abandon(shipment: Shipment) -> None:

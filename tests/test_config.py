@@ -87,12 +87,11 @@ def test_unset_and_empty_mean_default(monkeypatch):
 
 
 def test_unparsable_value_names_the_variable(monkeypatch):
-    monkeypatch.setenv("REPRO_SHM_THRESHOLD", "lots")
+    monkeypatch.setenv("REPRO_SERVICE_PORT", "lots")
     with pytest.raises(ValueError, match=(
-        "REPRO_SHM_THRESHOLD must be an integer byte count, got 'lots'"
+        "REPRO_SERVICE_PORT must be a TCP port, got 'lots'"
     )):
-        config.env_int("REPRO_SHM_THRESHOLD", 0,
-                       what="an integer byte count")
+        config.env_int("REPRO_SERVICE_PORT", 8077, what="a TCP port")
     monkeypatch.setenv("REPRO_CHUNK_TIMEOUT", "soon")
     with pytest.raises(ValueError, match="REPRO_CHUNK_TIMEOUT must be"):
         config.env_float("REPRO_CHUNK_TIMEOUT", None)
@@ -116,16 +115,6 @@ def test_raw_strips_whitespace(monkeypatch):
 
 
 # -- parse sites route through the registry ----------------------------------
-
-
-def test_shm_threshold_error_contract_still_holds(monkeypatch):
-    from repro.engine import shm
-
-    monkeypatch.setenv("REPRO_SHM_THRESHOLD", "huge")
-    with pytest.raises(ValueError, match=(
-        "REPRO_SHM_THRESHOLD must be an integer byte count"
-    )):
-        shm.resolve_threshold(None)
 
 
 def test_sim_backend_routes_through_registry(monkeypatch):

@@ -150,8 +150,7 @@ class TestChunkRetry:
         specs, datas = _batch(rng)
         baseline = wse.run_many(specs, datas)
         with use_faults("shm@0"):
-            engine = EngineSession(workers=2, shm_threshold=0,
-                                   backoff_base=0.01)
+            engine = EngineSession(workers=2, backoff_base=0.01)
             outs = engine.sweep(specs, datas)
         _assert_outcomes_equal(outs, baseline)
         assert engine.stats.retries >= 1
@@ -195,7 +194,9 @@ class TestChunkTimeout:
         assert engine.stats.retries >= 1
 
     def test_timeout_with_no_retries_quarantines_serially(self, rng):
-        specs, datas = _batch(rng)
+        # One chunk per worker: a deadline runs from submission, so a
+        # chunk queued behind the delayed one could time out as well.
+        specs, datas = _batch(rng, n=2)
         baseline = wse.run_many(specs, datas)
         with use_faults("delay@0=0.8"):
             engine = EngineSession(workers=2, chunk_timeout=0.2,
@@ -383,7 +384,7 @@ class TestAcceptance:
         specs, datas = _batch(rng)
         baseline = wse.run_many(specs, datas)
         engine = EngineSession(workers=2, chunk_timeout=0.2,
-                               backoff_base=0.01, shm_threshold=0)
+                               backoff_base=0.01)
         db = TuneDB(tmp_path / "db.jsonl")
         # Sweep 1 consumes chunk occurrences 0-5, sweep 2 consumes 6-11:
         # the delay lands mid-sweep-1, the kill lands mid-sweep-2, and
@@ -412,7 +413,7 @@ class TestAcceptance:
         baseline = wse.run_many(specs, datas)
         with use_faults("delay@0=0.6;shm@2;kill@4"):
             engine = EngineSession(workers=2, chunk_timeout=0.2,
-                                   backoff_base=0.01, shm_threshold=0)
+                                   backoff_base=0.01)
             outs = engine.sweep(specs, datas)
         _assert_outcomes_equal(outs, baseline)
         assert engine.stats.retries + engine.stats.requeued_chunks >= 1
@@ -444,15 +445,15 @@ class TestRunnerSurfacesCounters:
 )
 class TestEnvDrivenChaos:
     """The CI chaos job's payload: whatever plan ``REPRO_FAULTS`` names
-    (worker-kill, timeout, torn-append seeds), sweeps stay bit-identical
-    to serial and the store repairs to a clean file."""
+    (worker-kill, timeout, torn-append, torn-descriptor seeds), sweeps stay
+    bit-identical to serial and the store repairs to a clean file."""
 
     def test_sweep_and_store_survive_the_env_plan(self, rng, tmp_path):
         injector = faults.active()
         assert injector is not None
         specs, datas = _batch(rng)
         baseline = wse.run_many(specs, datas)   # draws no fault sites
-        engine = EngineSession(workers=2, shm_threshold=0, backoff_base=0.01)
+        engine = EngineSession(workers=2, backoff_base=0.01)
         _assert_outcomes_equal(engine.sweep(specs, datas), baseline)
         db = TuneDB(tmp_path / "db.jsonl")
         db.record(SPEC, predicted_cycles=1.0)

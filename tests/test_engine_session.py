@@ -7,6 +7,7 @@ refuses work, a broken pool is replaced, and shared-memory segments are
 always unlinked, worker crashes included.
 """
 
+import errno
 import glob
 import multiprocessing
 import os
@@ -72,11 +73,10 @@ def _shm_segments():
 
 
 class TestWarmSessionEquivalence:
-    @pytest.mark.parametrize("shm_threshold", [0, -1])
-    def test_repeated_sweeps_bit_identical_to_serial(self, rng, shm_threshold):
+    def test_repeated_sweeps_bit_identical_to_serial(self, rng):
         specs, datas = _mixed_batch(rng)
         baseline = wse.run_many(specs, datas)
-        with EngineSession(workers=2, shm_threshold=shm_threshold) as session:
+        with EngineSession(workers=2) as session:
             for _ in range(3):
                 _assert_outcomes_equal(session.sweep(specs, datas), baseline)
         stats = session.stats
@@ -93,13 +93,34 @@ class TestWarmSessionEquivalence:
 
     def test_shm_transport_really_engaged(self, rng):
         specs, datas = _mixed_batch(rng)
-        with EngineSession(workers=2, shm_threshold=0) as session:
+        with EngineSession(workers=2) as session:
             session.sweep(specs, datas)
-            assert session.stats.shm_chunks > 0
+            assert session.stats.shm_chunks == session.stats.chunks > 0
             assert session.stats.shm_bytes > 0
-        with EngineSession(workers=2, shm_threshold=-1) as session:
-            session.sweep(specs, datas)
-            assert session.stats.shm_chunks == 0
+
+    def test_no_segment_to_be_had_runs_the_batch_serially(
+        self, rng, monkeypatch
+    ):
+        """A parent that cannot create a segment (a full ``/dev/shm``)
+        runs the whole batch in-process, bit-identical to ``run_many``;
+        the chunk already in flight when packing failed is reclaimed."""
+        specs, datas = _mixed_batch(rng)
+        baseline = wse.run_many(specs, datas)
+        parent, pack = os.getpid(), shm.pack
+        packed = []
+
+        def pack_until_full(arrays):
+            if os.getpid() == parent:         # workers still pack replies
+                if packed:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                packed.append(arrays)
+            return pack(arrays)
+
+        monkeypatch.setattr(shm, "pack", pack_until_full)
+        with EngineSession(workers=2) as session:
+            _assert_outcomes_equal(session.sweep(specs, datas), baseline)
+        assert session.stats.serial_points == len(specs)
+        assert session.stats.parallel_points == 0
 
 
 class TestSessionLifecycle:
@@ -215,7 +236,7 @@ class TestShmLeakFreedom:
     def test_no_segments_leak_on_success(self, rng):
         specs, datas = _mixed_batch(rng)
         before = set(_shm_segments())
-        with EngineSession(workers=2, shm_threshold=0) as session:
+        with EngineSession(workers=2) as session:
             session.sweep(specs, datas)
         assert set(_shm_segments()) <= before
 
@@ -225,7 +246,7 @@ class TestShmLeakFreedom:
         bad = list(good)
         bad[3] = rng.normal(size=(3, 3))      # wrong shape: worker raises
         before = set(_shm_segments())
-        with EngineSession(workers=2, shm_threshold=0) as session:
+        with EngineSession(workers=2) as session:
             with pytest.raises(ValueError):
                 session.sweep([spec] * 6, bad)
             assert set(_shm_segments()) <= before
@@ -239,7 +260,7 @@ class TestShmLeakFreedom:
     def test_ephemeral_engine_cleans_up_too(self, rng):
         specs, datas = _mixed_batch(rng)
         before = set(_shm_segments())
-        engine = EngineSession(workers=2, shm_threshold=0)
+        engine = EngineSession(workers=2)
         engine.sweep(specs, datas)
         assert engine.stats.shm_chunks > 0
         assert set(_shm_segments()) <= before
@@ -277,16 +298,3 @@ class TestShmModule:
         segment, _ = shm.pack([rng.normal(size=4)])
         assert shm.unlink(segment.name)
         assert not shm.unlink(segment.name)
-
-    def test_threshold_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM_THRESHOLD", raising=False)
-        assert shm.resolve_threshold(None) == shm.DEFAULT_THRESHOLD_BYTES
-        assert shm.resolve_threshold(0) == 0
-        assert shm.resolve_threshold(-1) is None
-        monkeypatch.setenv("REPRO_SHM_THRESHOLD", "4096")
-        assert shm.resolve_threshold(None) == 4096
-        monkeypatch.setenv("REPRO_SHM_THRESHOLD", "-5")
-        assert shm.resolve_threshold(None) is None
-        monkeypatch.setenv("REPRO_SHM_THRESHOLD", "lots")
-        with pytest.raises(ValueError, match="REPRO_SHM_THRESHOLD"):
-            shm.resolve_threshold(None)

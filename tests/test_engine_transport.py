@@ -1,8 +1,7 @@
 """Tests for repro.engine.transport: one chunk out, its outcomes back.
 
 The transport's contract is lossless delivery and leak-free ownership:
-whichever encoding a chunk used (pickle or shared memory), with or
-without worker telemetry riding along, ``consume`` returns outcomes
+with or without worker telemetry riding along, ``consume`` returns outcomes
 bit-identical to in-process execution — and every way a shipment can end
 (``consume``, ``discard``, ``abandon``) leaves no ``repro_shm_*``
 segment behind, which the module-wide ``shm_leak_guard`` enforces.
@@ -24,9 +23,6 @@ pytestmark = pytest.mark.usefixtures("shm_leak_guard")
 REDUCE = CollectiveSpec("reduce", Grid(1, 8), 16)
 BROADCAST = CollectiveSpec("broadcast", Grid(1, 6), 12)
 META = {"seq": 0, "points": 3, "attempt": 0, "spec": "test"}
-
-#: shm_threshold values selecting each encoding for any non-empty chunk.
-PICKLE, SHM = None, 0
 
 
 @pytest.fixture()
@@ -58,20 +54,18 @@ def _assert_bit_identical(ours, reference):
 
 
 @pytest.mark.parametrize("spec", [REDUCE, BROADCAST], ids=lambda s: s.kind)
-@pytest.mark.parametrize("threshold", [PICKLE, SHM], ids=["pickle", "shm"])
 @pytest.mark.parametrize("meta", [None, META], ids=["bare", "telemetry"])
-def test_round_trip_is_bit_identical(pool, rng, spec, threshold, meta):
+def test_round_trip_is_bit_identical(pool, rng, spec, meta):
     chunk_plan, datas = _chunk(spec, rng)
     reference = [wse.execute(chunk_plan, data) for data in datas]
-    shipment = transport.ship(pool, chunk_plan, datas, threshold, meta=meta)
-    assert (shipment.segment is not None) == (threshold is SHM)
+    shipment = transport.ship(pool, chunk_plan, datas, meta=meta)
     _assert_bit_identical(transport.consume(shipment), reference)
 
 
 def test_worker_telemetry_reaches_the_parent_timeline(pool, rng):
     chunk_plan, datas = _chunk(REDUCE, rng)
     with export.use_telemetry() as got:
-        shipment = transport.ship(pool, chunk_plan, datas, SHM, meta=META)
+        shipment = transport.ship(pool, chunk_plan, datas, meta=META)
         transport.consume(shipment)
     chunk_spans = [e for e in got.events
                    if e.get("ph") == "X" and e["name"] == "engine.chunk"]
@@ -79,10 +73,9 @@ def test_worker_telemetry_reaches_the_parent_timeline(pool, rng):
     assert chunk_spans[0]["args"]["seq"] == META["seq"]
 
 
-@pytest.mark.parametrize("threshold", [PICKLE, SHM], ids=["pickle", "shm"])
-def test_discard_reclaims_a_resolved_shipment(pool, rng, threshold):
+def test_discard_reclaims_a_resolved_shipment(pool, rng):
     chunk_plan, datas = _chunk(REDUCE, rng)
-    shipment = transport.ship(pool, chunk_plan, datas, threshold)
+    shipment = transport.ship(pool, chunk_plan, datas)
     wait([shipment.future])
     transport.discard(shipment)          # reply never read; guard checks
 
@@ -90,14 +83,14 @@ def test_discard_reclaims_a_resolved_shipment(pool, rng, threshold):
 def test_discard_reclaims_a_failed_shipment(pool, rng):
     chunk_plan, _ = _chunk(REDUCE, rng)
     bad = [rng.normal(size=(3, 3))]      # wrong shape: the worker raises
-    shipment = transport.ship(pool, chunk_plan, bad, SHM)
+    shipment = transport.ship(pool, chunk_plan, bad)
     assert isinstance(shipment.future.exception(), ValueError)
     transport.discard(shipment)
 
 
 def test_torn_descriptor_fails_in_the_worker_not_the_parent(pool, rng):
     chunk_plan, datas = _chunk(REDUCE, rng)
-    shipment = transport.ship(pool, chunk_plan, datas, SHM,
+    shipment = transport.ship(pool, chunk_plan, datas,
                               fault=FaultSpec("shm", at=0))
     assert shipment.future.exception() is not None
     transport.discard(shipment)          # parent's handle was never torn
@@ -105,7 +98,7 @@ def test_torn_descriptor_fails_in_the_worker_not_the_parent(pool, rng):
 
 def test_abandon_reclaims_once_the_attempt_resolves(pool, rng):
     chunk_plan, datas = _chunk(REDUCE, rng)
-    shipment = transport.ship(pool, chunk_plan, datas, SHM,
+    shipment = transport.ship(pool, chunk_plan, datas,
                               fault=FaultSpec("delay", at=0, arg=0.3))
     assert not shipment.future.done()
     transport.abandon(shipment)          # walk away mid-flight

@@ -13,6 +13,11 @@ fallback).  These tests enforce that contract three ways:
 * a hypothesis fuzz over random small ``PEProgram`` grids (random
   sizes, lengths, fifo capacities, ramp latencies, timer mixes).
 
+The zoo and the fuzz also check a law each backend must keep on its
+own: simulated timing does not depend on input values.  Normal, NaN,
+±inf and −0.0 inputs must give the same ``SimResult`` in every field
+but ``buffers`` — what lets the tuner time a spec on any input.
+
 Plus the backend-selector plumbing itself: ``REPRO_SIM_BACKEND``,
 explicit ``backend=``, unknown-name rejection and fallback tagging.
 """
@@ -127,18 +132,70 @@ def _zoo_cases():
     return cases
 
 
-@pytest.mark.parametrize(
-    "kind,grid,algorithm,b",
-    _zoo_cases(),
-    ids=lambda v: str(v).replace(" ", ""),
-)
-def test_zoo_bit_identical(kind, grid, algorithm, b):
+def _zoo_schedule(kind, grid, algorithm, b):
     try:
         schedule = build_schedule(kind, grid, algorithm, b)
     except ValueError:
         pytest.skip("infeasible spec")
     combine = REDUCE_OPS["sum"] if kind in ("reduce", "allreduce") else None
-    _differential(schedule, _random_inputs(schedule, b), combine=combine)
+    return schedule, {"combine": combine}
+
+
+#: Input value classes the timing law quantifies over.
+_VALUE_CLASSES = {
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "nan": lambda rng, n: np.full(n, np.nan),
+    "inf": lambda rng, n: rng.choice([np.inf, -np.inf], n),
+    "negzero": lambda rng, n: np.full(n, -0.0),
+}
+
+
+def _timing(outcome):
+    """An outcome with the values it computed left out."""
+    status, result = outcome
+    if status != "ok":
+        return outcome
+    return {
+        name: value.tolist() if isinstance(value, np.ndarray) else value
+        for name, value in vars(result).items() if name != "buffers"
+    }
+
+
+def _assert_timing_ignores_values(schedule, seed, **kwargs):
+    for factory in (FabricSimulator, VectorizedSimulator):
+        timings = {}
+        for label, values in _VALUE_CLASSES.items():
+            rng = np.random.default_rng(seed)
+            inputs = {pe: values(rng, max(schedule.buffer_size, 1))
+                      for pe in schedule.programs}
+            with np.errstate(invalid="ignore"):     # inf + -inf is NaN
+                timings[label] = _timing(
+                    _outcome(factory, schedule, inputs, **kwargs)
+                )
+        for label, timing in timings.items():
+            assert timing == timings["normal"], (
+                f"{factory.__name__} {schedule.name}: {label} inputs "
+                "changed the timing"
+            )
+
+
+_ZOO = pytest.mark.parametrize(
+    "kind,grid,algorithm,b",
+    _zoo_cases(),
+    ids=lambda v: str(v).replace(" ", ""),
+)
+
+
+@_ZOO
+def test_zoo_bit_identical(kind, grid, algorithm, b):
+    schedule, kwargs = _zoo_schedule(kind, grid, algorithm, b)
+    _differential(schedule, _random_inputs(schedule, b), **kwargs)
+
+
+@_ZOO
+def test_zoo_timing_ignores_values(kind, grid, algorithm, b):
+    schedule, kwargs = _zoo_schedule(kind, grid, algorithm, b)
+    _assert_timing_ignores_values(schedule, b, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -252,9 +309,8 @@ def _chain_case(draw):
     return n, b, cap, t_r, pre_delay, post_delay, sample, break_mode, seed
 
 
-@settings(max_examples=40, deadline=None)
-@given(_chain_case())
-def test_fuzz_chain_parity(case):
+def _chain_schedule(case):
+    """The chain ``case`` draws, with its simulator kwargs and seed."""
     n, b, cap, t_r, pre_delay, post_delay, sample, break_mode, seed = case
     g = Grid(1, n)
     s = Schedule(grid=g, buffer_size=b, name="fuzz-chain")
@@ -277,13 +333,22 @@ def test_fuzz_chain_parity(case):
         head.ops.append(Recv(color=0, length=b, combine=False))
         if post_delay:
             head.ops.append(Delay(cycles=post_delay))
-    params = MachineParams(ramp_latency=t_r)
-    _differential(
-        s,
-        _random_inputs(s, seed),
-        params=params,
-        fifo_capacity=cap,
-    )
+    kwargs = {"params": MachineParams(ramp_latency=t_r), "fifo_capacity": cap}
+    return s, kwargs, seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chain_case())
+def test_fuzz_chain_parity(case):
+    schedule, kwargs, seed = _chain_schedule(case)
+    _differential(schedule, _random_inputs(schedule, seed), **kwargs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chain_case())
+def test_fuzz_chain_timing_ignores_values(case):
+    schedule, kwargs, seed = _chain_schedule(case)
+    _assert_timing_ignores_values(schedule, seed, **kwargs)
 
 
 # ---------------------------------------------------------------------------
