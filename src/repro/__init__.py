@@ -48,7 +48,7 @@ Spec-level batching (one plan per distinct spec, cached across calls)::
 
     spec = CollectiveSpec("allreduce", Grid(1, 64), 256)
     steps = [np.random.default_rng(s).normal(size=(64, 256)) for s in range(8)]
-    outs = wse.run_many([spec] * 8, steps)   # planned once, executed 8x
+    outs = wse.run_many([spec] * 8, steps)   # planned and simulated once, 8 results
 """
 
 from . import autogen, collectives, core, engine, fabric, model, obs

@@ -23,12 +23,12 @@ The MPI-flavoured entry points are thin wrappers over this pipeline:
 >>> np.allclose(out.result, data.sum(axis=0))
 True
 
-and batched sweeps plan once per distinct spec:
+and batched sweeps plan and simulate once per distinct spec:
 
 >>> from repro.core.registry import CollectiveSpec
 >>> from repro.fabric.geometry import Grid
 >>> spec = CollectiveSpec("reduce", Grid(1, 16), 64)
->>> outs = wse.run_many([spec, spec], [data, 2 * data])      # one plan, two runs
+>>> outs = wse.run_many([spec, spec], [data, 2 * data])      # one plan, one simulation
 >>> np.allclose(outs[1].result, 2 * data.sum(axis=0))
 True
 
@@ -38,6 +38,7 @@ registered name forces a specific pattern.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -46,6 +47,7 @@ import numpy as np
 from ..fabric.geometry import Grid
 from ..fabric.ir import Schedule
 from ..fabric.simulator import SimResult, simulate
+from ..fabric.values import ValuesRefused, final_buffers
 from ..model.params import CS2, MachineParams
 from ..obs import spans as _obs
 from . import planner, registry
@@ -343,6 +345,76 @@ def _execute_impl(
     )
 
 
+def _replay(first: CollectiveOutcome, data: np.ndarray
+            ) -> Optional[CollectiveOutcome]:
+    """``first.plan`` executed on ``data`` without a simulation: the
+    timing of ``first`` (simulated timing depends only on the schedule)
+    with buffers from the value pass; ``None`` if the pass refuses."""
+    spec, done = first.plan.spec, first.sim
+    inputs = _prepare_inputs(spec, data)
+    try:
+        buffers = final_buffers(first.plan.schedule, inputs,
+                                _combine_for(spec.op))
+    except ValuesRefused:
+        return None
+    sim = SimResult(
+        cycles=done.cycles,
+        energy=done.energy,
+        buffers=buffers,
+        received=done.received.copy(),
+        sent=done.sent.copy(),
+        link_loads=done.link_loads.copy(),
+        clock_samples={tag: dict(samples)
+                       for tag, samples in done.clock_samples.items()},
+        completion=done.completion.copy(),
+        backend=done.backend,
+    )
+    return dataclasses.replace(first, result=_extract_result(spec, sim),
+                               sim=sim)
+
+
+def execute_batch(
+    plans: Sequence[Plan],
+    datas: Sequence[np.ndarray],
+    backend: Optional[str] = None,
+    timed: Sequence[CollectiveOutcome] = (),
+) -> List[CollectiveOutcome]:
+    """``[execute(plans[i], datas[i], backend) ...]``, simulating once
+    per distinct plan.
+
+    The per-point loop behind :func:`run_many` and the sweep engine.
+    The first point of each plan is simulated.  If that ran on the
+    vectorized backend, the plan's later points take copies of its
+    timing and get their buffers from the clock-free value pass
+    (:mod:`repro.fabric.values`), which is bit-identical to a
+    simulation.  Points of a plan whose simulation ran on the reference
+    backend, or that the value pass refuses, are simulated one by one.
+    ``timed`` holds outcomes already simulated for some of the plans
+    (matched by ``outcome.plan`` identity, only ``result`` and
+    ``sim.buffers`` unused): every point of those plans replays them.
+    """
+    #: id(plan) -> the outcome later points replay, or None: simulate.
+    replayable: Dict[int, Optional[CollectiveOutcome]] = {
+        id(outcome.plan): outcome for outcome in timed
+        if outcome.sim.backend == "vectorized"
+    }
+    outcomes = []
+    for planned, data in zip(plans, datas):
+        first = replayable.get(id(planned))
+        if first is None:
+            outcome = execute(planned, data, backend=backend)
+            if id(planned) not in replayable:
+                vectorized = outcome.sim.backend == "vectorized"
+                replayable[id(planned)] = outcome if vectorized else None
+        else:
+            outcome = _replay(first, data)
+            if outcome is None:     # refused: the plan simulates from now on
+                replayable[id(planned)] = None
+                outcome = execute(planned, data, backend=backend)
+        outcomes.append(outcome)
+    return outcomes
+
+
 def run_many(
     specs: Sequence[CollectiveSpec],
     datas: Sequence[np.ndarray],
@@ -353,8 +425,13 @@ def run_many(
 
     ``specs[i]`` runs on ``datas[i]``.  Identical specs — repeated sweep
     points, every step of a training loop — share a single plan (and hit
-    :data:`~repro.core.cache.PLAN_CACHE` across calls), so the sweep
-    cost is one plan per distinct spec plus one simulation per point.
+    :data:`~repro.core.cache.PLAN_CACHE` across calls) and a single
+    simulation: simulated timing depends only on the schedule, so the
+    later points of a spec reuse the first one's timing and compute
+    their values with the clock-free value pass.  The sweep cost is one
+    plan and one simulation per distinct spec plus one value pass per
+    repeated point; outcomes are bit-identical to per-point
+    :func:`execute`.
     """
     specs = list(specs)
     datas = list(datas)
@@ -366,10 +443,8 @@ def run_many(
     for spec in specs:
         if spec not in plans:
             plans[spec] = plan(spec, use_cache=use_cache)
-    return [
-        execute(plans[spec], data, backend=backend)
-        for spec, data in zip(specs, datas)
-    ]
+    return execute_batch([plans[spec] for spec in specs], datas,
+                         backend=backend)
 
 
 # ---------------------------------------------------------------------------

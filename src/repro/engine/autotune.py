@@ -21,9 +21,10 @@ Three pieces:
   (invalidating the plan cache, whose ``auto`` plans embed the ranking
   they were made under).
 
-Simulated cycle counts are data-independent (timing follows the
-schedule, not the values), so :func:`tune` measures each candidate on
-one deterministic random input
+Simulated cycle counts are data-independent — timing follows the
+schedule, not the values, a law ``tests/test_sim_backends.py`` checks
+on both backends for normal, NaN, ±inf and −0.0 inputs — so
+:func:`tune` measures each candidate on one deterministic random input
 (:func:`repro.core.api.seeded_input`).
 """
 

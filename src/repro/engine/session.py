@@ -12,6 +12,14 @@ persistent :class:`~concurrent.futures.ProcessPoolExecutor`:
   nothing); chunks ship the finished plan and workers only execute it,
   so parallel results cannot diverge from serial planning state (tuner
   hooks, runtime-registered collectives) under any start method;
+* **one simulation per plan** — simulated timing depends only on the
+  schedule, so a serial batch, and each spec's first chunk, simulate
+  the first point of a plan and give its other points that timing
+  plus buffers from the value pass (:mod:`repro.fabric.values`, via
+  :func:`~repro.core.api.execute_batch`).  A spec's other chunks wait
+  for its first one and ship with its outcome, so they simulate
+  nothing; at most ``workers`` chunks are in flight, and released
+  chunks go to the front of the queue;
 * **deterministic ordering** — results are reassembled by original
   index, bit-identical to the serial path no matter how many workers
   ran (simulation is pure, transport is lossless);
@@ -68,7 +76,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.api import CollectiveOutcome, Plan, execute, plan
+from ..core.api import CollectiveOutcome, Plan, execute_batch, plan
 from ..core.registry import CollectiveSpec
 from ..fabric.simulator import resolve_backend
 from ..obs import spans as _obs
@@ -184,25 +192,46 @@ class _ChunkTask:
 @dataclass
 class _Batch:
     """One parallel sweep's working state, shared by the event loop and
-    its helpers."""
+    its helpers.
+
+    Only the first chunk of each spec is queued at the start; the
+    spec's other chunks wait in :attr:`waiting` until it is filed, then
+    ship with its outcome in :attr:`timed` and replay that timing
+    instead of simulating.
+    """
 
     plans: Dict[CollectiveSpec, Plan]
     datas: List[np.ndarray]
     queue: Deque[_ChunkTask]
     results: List[Optional[CollectiveOutcome]]
     inflight: Dict[Future, _ChunkTask] = field(default_factory=dict)
+    waiting: Dict[CollectiveSpec, List[_ChunkTask]] = field(
+        default_factory=dict)
+    timed: Dict[CollectiveSpec, CollectiveOutcome] = field(
+        default_factory=dict)
 
     def run_serial(self, task: _ChunkTask) -> None:
         """Execute a chunk in the parent (quarantine / poolless path)."""
-        for index in task.indices:
-            self.results[index] = execute(self.plans[task.spec],
-                                          self.datas[index])
+        timed = self.timed.get(task.spec)
+        self._file(task, execute_batch(
+            [self.plans[task.spec]] * len(task.indices),
+            [self.datas[index] for index in task.indices],
+            timed=() if timed is None else [timed],
+        ))
 
     def collect(self, task: _ChunkTask) -> None:
         """File a successful attempt's outcomes under their indices."""
-        outcomes = transport.consume(task.shipment)
+        self._file(task, transport.consume(task.shipment))
+
+    def _file(self, task: _ChunkTask,
+              outcomes: List[CollectiveOutcome]) -> None:
         for index, outcome in zip(task.indices, outcomes):
             self.results[index] = outcome
+        if task.spec not in self.timed:
+            self.timed[task.spec] = dataclasses.replace(
+                outcomes[0], plan=self.plans[task.spec])
+        # Released chunks only replay values: they go to the front.
+        self.queue.extendleft(reversed(self.waiting.pop(task.spec, [])))
 
 
 class EngineSession:
@@ -357,8 +386,8 @@ class EngineSession:
                     # path computes the same thing.
                     pass
             if outcomes is None:
-                outcomes = [execute(plans[spec], data)
-                            for spec, data in zip(specs, datas)]
+                outcomes = execute_batch([plans[spec] for spec in specs],
+                                         datas)
                 self.stats.serial_points += len(specs)
                 self.stats.workers = max(self.stats.workers, 1)
             else:
@@ -386,10 +415,14 @@ class EngineSession:
         else:
             self.stats.pool_reuses += 1
         chunks = partition(specs, self.workers)
-        batch = _Batch(plans, datas, deque(
-            _ChunkTask(seq, spec, indices, fault=faults.draw("chunk"))
-            for seq, (spec, indices) in enumerate(chunks)
-        ), [None] * len(datas))
+        batch = _Batch(plans, datas, deque(), [None] * len(datas))
+        for seq, (spec, indices) in enumerate(chunks):
+            task = _ChunkTask(seq, spec, indices, fault=faults.draw("chunk"))
+            if spec in batch.waiting:
+                batch.waiting[spec].append(task)
+            else:
+                batch.waiting[spec] = []
+                batch.queue.append(task)
         try:
             self._run_chunks(batch)
         finally:
@@ -418,7 +451,7 @@ class EngineSession:
                     while queue:
                         batch.run_serial(queue.popleft())
                     continue
-                while queue:
+                while queue and len(inflight) < self.workers:
                     task = queue.popleft()
                     try:
                         self._ship(batch, task)
@@ -491,6 +524,7 @@ class EngineSession:
         task.shipment = transport.ship(
             self.pool, batch.plans[task.spec],
             [batch.datas[i] for i in task.indices], fault, meta,
+            batch.timed.get(task.spec),
         )
         if self.chunk_timeout:
             task.deadline = time.monotonic() + self.chunk_timeout

@@ -159,6 +159,14 @@ def unlink(name: str) -> bool:
         mem = _shared_memory.SharedMemory(name=name)
     except FileNotFoundError:
         return False
+    except ValueError:
+        # A creator killed between creating and sizing its segment
+        # leaves it empty, and an empty segment cannot be mapped.
+        try:
+            os.unlink(os.path.join("/dev/shm", name))
+        except FileNotFoundError:  # pragma: no cover - lost a race
+            return False
+        return True
     try:
         mem.unlink()
     except FileNotFoundError:  # pragma: no cover - lost a race, same result

@@ -27,11 +27,12 @@ import os
 import time
 from concurrent.futures import Executor, Future
 from dataclasses import dataclass
+from multiprocessing.connection import wait as wait_sentinels
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..core.api import CollectiveOutcome, Plan, execute
+from ..core.api import CollectiveOutcome, Plan, execute_batch
 from ..obs import spans as _obs
 from ..obs.metrics import METRICS
 from . import faults, shm
@@ -103,14 +104,20 @@ def _with_heavy(outcomes: List[CollectiveOutcome], values):
     ]
 
 
-def _execute(chunk_plan: Plan, inputs: _ShmInputs) -> _Reply:
-    """Execute every point of a chunk and pack its reply segment."""
+def _execute(chunk_plan: Plan, inputs: _ShmInputs,
+             timed: Optional[CollectiveOutcome]) -> _Reply:
+    """Execute a chunk's points — at most one simulation, the rest from
+    the value pass — and pack its reply segment."""
     # Input views are read-only — ``execute`` copies what it keeps — and
     # the input segment stays the parent's.  The reply segment is created
     # here but ownership passes to the parent with the descriptor.
     datas, mem = shm.read(inputs.segment, inputs.refs, copy=False)
     try:
-        outcomes = [execute(chunk_plan, data) for data in datas]
+        outcomes = execute_batch(
+            [chunk_plan] * len(datas), datas,
+            timed=() if timed is None else
+            [dataclasses.replace(timed, plan=chunk_plan)],
+        )
     finally:
         mem.close()
     segment, refs = shm.pack(list(_heavy(outcomes)))
@@ -122,12 +129,15 @@ def run_chunk(
     inputs: _ShmInputs,
     fault: Optional[faults.FaultSpec] = None,
     meta: Optional[dict] = None,
+    timed: Optional[CollectiveOutcome] = None,
 ) -> _Reply:
     """The worker body: execute one chunk under the plan it arrived with.
 
     The plan arrives fully built from the parent, so workers never plan
     — execution cannot depend on what the worker process knows (registry
-    contents, tuner hooks, start method).  ``fault`` is an injected
+    contents, tuner hooks, start method).  ``timed``, when given, is an
+    outcome of the plan simulated elsewhere: the chunk replays its
+    timing instead of simulating.  ``fault`` is an injected
     kill/delay token from the parent's fault plan.  ``meta`` (present
     only while the parent records telemetry) labels a worker-side
     ``engine.chunk`` span: recording is forced on for the chunk (a
@@ -137,13 +147,13 @@ def run_chunk(
     """
     if meta is None:
         faults.perform(fault)
-        return _execute(chunk_plan, inputs)
+        return _execute(chunk_plan, inputs, timed)
     previous = _obs.set_enabled(True)
     try:
         with _obs.collect() as collected:
             with _obs.span("engine.chunk", **meta):
                 faults.perform(fault)
-                reply = _execute(chunk_plan, inputs)
+                reply = _execute(chunk_plan, inputs, timed)
         reply.events, reply.pid = collected.events, os.getpid()
         return reply
     finally:
@@ -159,13 +169,16 @@ def ship(
     datas: List[np.ndarray],
     fault: Optional[faults.FaultSpec] = None,
     meta: Optional[dict] = None,
+    timed: Optional[CollectiveOutcome] = None,
 ) -> Shipment:
     """Pack a chunk's inputs into a segment and submit it to ``pool``.
 
     An injected ``shm`` fault corrupts the descriptor the worker sees —
     never the parent's own unlink handle.  ``meta`` asks the worker to
     record and return its chunk span; ``None`` keeps it on the
-    untouched fast path.
+    untouched fast path.  ``timed`` is an outcome of ``chunk_plan``
+    whose timing the chunk replays; it travels without its arrays of
+    values.
     """
     segment, refs = shm.pack(
         [np.asarray(data, dtype=np.float64) for data in datas]
@@ -174,9 +187,15 @@ def ship(
     if fault is not None and fault.kind == "shm":
         shipped = dataclasses.replace(segment, name=segment.name + "-torn")
         fault = None  # the corrupted descriptor *is* the fault
+    if timed is not None:
+        timed = dataclasses.replace(
+            timed, result=np.empty(0),
+            sim=dataclasses.replace(timed.sim, buffers={}),
+        )
     try:
         future = pool.submit(
-            run_chunk, chunk_plan, _ShmInputs(shipped, refs), fault, meta
+            run_chunk, chunk_plan, _ShmInputs(shipped, refs), fault, meta,
+            timed,
         )
     except BaseException:
         shm.unlink(segment.name)
@@ -249,18 +268,20 @@ def reap(workers: Sequence, timeout: float = 5.0) -> None:
     No future names those segments — but the worker's pid does, so once
     a worker is provably dead, anything under its pid is garbage.
     Workers not confirmed dead are left alone: never unlink behind a
-    live process.
+    live process.  Death is read off each worker's sentinel, which
+    closes when the process exits: ``join``/``is_alive`` can report a
+    dead worker alive while the executor's own thread is reaping it.
     """
     if not os.path.isdir("/dev/shm"):  # pragma: no cover - no shm mount
         return
     deadline = time.monotonic() + timeout
     for proc in workers:
         try:
-            proc.join(max(0.0, deadline - time.monotonic()))
-        except (AssertionError, ValueError):  # pragma: no cover - raced
+            exited = wait_sentinels([proc.sentinel],
+                                    max(0.0, deadline - time.monotonic()))
+        except (OSError, ValueError):  # pragma: no cover - closed process
             continue
-    for proc in workers:
-        if proc.is_alive():  # pragma: no cover - worker survived SIGTERM
+        if not exited:  # pragma: no cover - worker survived SIGTERM
             continue
         for path in glob.glob(f"/dev/shm/{shm.NAME_PREFIX}_{proc.pid}_*"):
             shm.unlink(os.path.basename(path))

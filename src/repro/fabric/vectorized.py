@@ -51,6 +51,7 @@ from .simulator import DeadlockError, SimResult, SimulationError
 __all__ = [
     "UnsupportedSchedule",
     "VectorizedSimulator",
+    "combine_ufunc",
     "register_combine",
     "stride_enabled",
 ]
@@ -82,6 +83,15 @@ def register_combine(fn: Callable[[float, float], float], ufunc: np.ufunc) -> No
     """
     _VECTOR_COMBINES[id(fn)] = ufunc
     _COMBINE_KEEPALIVE.append(fn)
+
+
+def combine_ufunc(combine: Callable[[float, float], float]) -> np.ufunc:
+    """The ufunc registered for ``combine``; raises
+    :class:`UnsupportedSchedule` when there is none."""
+    ufunc = _VECTOR_COMBINES.get(id(combine))
+    if ufunc is None:
+        raise UnsupportedSchedule(f"combine {combine!r} not vectorizable")
+    return ufunc
 
 
 def stride_enabled() -> bool:
@@ -122,13 +132,9 @@ class VectorizedSimulator:
             raise UnsupportedSchedule("tracer attached (reference only)")
         if params.ramp_latency < 1:
             raise UnsupportedSchedule("ramp_latency < 1 needs the reference event order")
-        if combine is None:
-            self._combine_ufunc: Optional[np.ufunc] = None  # plain +=
-        else:
-            ufunc = _VECTOR_COMBINES.get(id(combine))
-            if ufunc is None:
-                raise UnsupportedSchedule(f"combine {combine!r} not vectorizable")
-            self._combine_ufunc = ufunc
+        self._combine_ufunc: Optional[np.ufunc] = (
+            None if combine is None else combine_ufunc(combine)  # None: +=
+        )
         try:
             arr = lower_arrays(schedule)
         except TypeError as exc:

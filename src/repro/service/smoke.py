@@ -4,9 +4,9 @@
 boots ``python -m repro.service --port 0`` as a real subprocess (own
 process group), parses the ready line, then exercises the full client
 surface — ``/healthz``, ``/plan`` (twice: miss then cached hit),
-``/sweep`` with a seeded item (asserting the returned result is
-**bit-identical** to executing the same spec through the library in
-this process), and ``/stats`` (asserting the ``service.requests``
+``/sweep`` with one spec at seeds 7, 8 and 7 (asserting every returned
+result is **bit-identical** to executing the same point through the
+library in this process, the repeats included), and ``/stats`` (asserting the ``service.requests``
 counters moved).  It finishes by terminating the process group and
 probing that nothing survived — a leaked worker fails the run.
 
@@ -78,21 +78,28 @@ def main() -> int:
         assert second.cached, "second identical plan must be a cache hit"
         assert first.algorithm == second.algorithm
 
-        # Library-vs-service bit-identity on a seeded sweep point.
+        # Library-vs-service bit-identity on seeded sweep points.  The
+        # repeated spec is simulated once; its later points get their
+        # values from the value pass and must still match the library.
         spec = spec_req.to_spec()
+        seeds = (7, 8, 7)
         swept = client.sweep(
-            [SweepItem(spec=spec_req, seed=7)], return_results=True,
+            [SweepItem(spec=spec_req, seed=seed) for seed in seeds],
+            return_results=True,
         )
-        outcome = swept.outcomes[0]
-        local = execute(plan(spec), seeded_input(spec, 7))
-        if outcome.measured_cycles != local.measured_cycles:
-            _fail(f"measured cycles diverge: service={outcome.measured_cycles}"
-                  f" library={local.measured_cycles}")
-        if not np.array_equal(
-            outcome.result_array(), np.asarray(local.result),
-        ):
-            _fail("sweep result is not bit-identical to the library path")
-        assert outcome.algorithm == first.algorithm
+        for seed, outcome in zip(seeds, swept.outcomes):
+            local = execute(plan(spec), seeded_input(spec, seed))
+            if outcome.measured_cycles != local.measured_cycles:
+                _fail(f"seed {seed}: measured cycles diverge: service="
+                      f"{outcome.measured_cycles} library="
+                      f"{local.measured_cycles}")
+            if not np.array_equal(
+                outcome.result_array().view(np.int64),
+                np.asarray(local.result).view(np.int64),
+            ):
+                _fail(f"seed {seed}: sweep result is not bit-identical to "
+                      "the library path")
+            assert outcome.algorithm == first.algorithm
 
         stats = client.stats()
         requests = sum(

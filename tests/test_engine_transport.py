@@ -7,14 +7,16 @@ bit-identical to in-process execution — and every way a shipment can end
 segment behind, which the module-wide ``shm_leak_guard`` enforces.
 """
 
+import glob
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor, wait
 
 import numpy as np
 import pytest
 
 from repro import CollectiveSpec, Grid, wse
-from repro.engine import transport
+from repro.engine import shm, transport
 from repro.engine.faults import FaultSpec
 from repro.obs import export
 
@@ -104,3 +106,41 @@ def test_abandon_reclaims_once_the_attempt_resolves(pool, rng):
     transport.abandon(shipment)          # walk away mid-flight
     # The fixture's shutdown(wait=True) lets the attempt finish; its
     # done-callback must then have dropped both segments.
+
+
+def test_timed_chunk_replays_instead_of_simulating(pool, rng):
+    """A chunk shipped with an outcome of its plan simulates nothing and
+    still returns what in-process execution returns."""
+    chunk_plan, datas = _chunk(REDUCE, rng)
+    reference = [wse.execute(chunk_plan, data) for data in datas]
+    shipment = transport.ship(pool, chunk_plan, datas, timed=reference[0])
+    outcomes = transport.consume(shipment)
+    _assert_bit_identical(outcomes, reference)
+    assert [o.sim.backend for o in outcomes] == \
+        [o.sim.backend for o in reference]
+
+
+def _leave_a_segment():
+    shm.pack([np.ones(4)])
+    os._exit(0)
+
+
+def test_reap_unlinks_a_worker_another_waiter_reaped():
+    """The executor's thread may collect a dead worker's exit status
+    first; ``join``/``is_alive`` then report it alive, yet its segments
+    are garbage."""
+    proc = multiprocessing.get_context("fork").Process(target=_leave_a_segment)
+    proc.start()
+    os.waitpid(proc.pid, 0)              # someone else reaped it
+    assert glob.glob(f"/dev/shm/{shm.NAME_PREFIX}_{proc.pid}_*")
+    transport.reap([proc], timeout=2.0)
+    assert not glob.glob(f"/dev/shm/{shm.NAME_PREFIX}_{proc.pid}_*")
+
+
+def test_unlink_removes_an_empty_segment():
+    """A creator killed between creating and sizing a segment leaves it
+    empty; it cannot be mapped, but it can still be removed."""
+    name = f"{shm.NAME_PREFIX}_{os.getpid()}_empty"
+    os.close(os.open(f"/dev/shm/{name}", os.O_CREAT | os.O_EXCL, 0o600))
+    assert shm.unlink(name)
+    assert not os.path.exists(f"/dev/shm/{name}")

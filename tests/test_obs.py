@@ -141,6 +141,33 @@ def test_disabled_span_is_shared_noop_and_records_nothing():
     assert spans.collector().events == []
 
 
+def test_repeated_spec_run_many_is_inert_when_off():
+    """The value pass behind repeated points records only when on."""
+    from repro.core.api import run_many
+
+    spec = CollectiveSpec("reduce", Grid(1, 8), 8)
+    datas = [np.full((8, 8), float(seed)) for seed in range(3)]
+
+    def values_series(delta):
+        return {k: v for k, v in delta.items()
+                if k.startswith("fabric.values") and v}
+
+    before = METRICS.snapshot()
+    run_many([spec] * 3, datas, backend="vectorized")
+    assert spans.collector().events == []
+    assert values_series(METRICS.delta(before)) == {}
+
+    before = METRICS.snapshot()
+    spans.set_enabled(True)
+    try:
+        run_many([spec] * 3, datas, backend="vectorized")
+    finally:
+        spans.set_enabled(False)
+    assert values_series(METRICS.delta(before)) == {"fabric.values.points": 2}
+    assert [e["name"] for e in spans.collector().events
+            if e["name"] == "fabric.values"] == ["fabric.values"] * 2
+
+
 def test_enabled_spans_nest_and_capture_args():
     spans.set_enabled(True)
     with spans.collect() as got:

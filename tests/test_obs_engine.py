@@ -154,7 +154,11 @@ class TestZeroCostDisabled:
         absorbs scheduler noise.  A regression that makes the *disabled*
         path do real work trips this.
         """
-        specs, datas = _batch(rng, n=8)
+        # Eight distinct specs, so every sweep runs eight simulations:
+        # repeats of one spec simulate once, and the ~15 ms left of a
+        # sweep is within the noise of a busy host.
+        specs = [CollectiveSpec("reduce", Grid(1, 8), b) for b in range(16, 24)]
+        datas = [rng.normal(size=(8, spec.b)) for spec in specs]
         engine = EngineSession(workers=1)
         engine.sweep(specs, datas)  # warm the plan cache
 
