@@ -423,6 +423,12 @@ class EngineSession:
             else:
                 batch.waiting[spec] = []
                 batch.queue.append(task)
+        # Each queued chunk simulates its spec once for the spec's later
+        # chunks to replay: start the longest predicted simulations first
+        # so the slowest one does not begin last and hold up the sweep.
+        batch.queue = deque(sorted(
+            batch.queue, key=lambda task: -plans[task.spec].predicted_cycles
+        ))
         try:
             self._run_chunks(batch)
         finally:

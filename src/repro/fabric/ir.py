@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import PORT_NAMES, Grid, Port
+from .geometry import PORT_NAMES, Grid, Port, opposite_port
 
 __all__ = [
     "RouterRule",
@@ -336,6 +336,12 @@ class Schedule:
 #: Op kind codes used by the dense lowering (0 = no op / padding).
 K_SEND, K_RECV, K_RRS, K_SENDRECV, K_SENDCTRL, K_DELAY, K_SAMPLE = range(1, 8)
 
+#: port a wavelet arrives on after crossing the link out of each port
+#: (RAMP has no link; its -1 is never used).
+_OPPOSITE = np.array(
+    [-1] + [opposite_port(port) for port in range(1, 5)], dtype=np.int64
+)
+
 
 @dataclass
 class ScheduleArrays:
@@ -374,6 +380,13 @@ class ScheduleArrays:
     emit_total: np.ndarray  # [P] int64
     #: op kind codes that actually occur in the schedule.
     kinds_present: frozenset
+    # Flat index maps over the ``[pe, port, lane]`` space that router FIFOs
+    # and staged output slots share (``f = (pe * 5 + port) * C + lane``):
+    f_pc: np.ndarray       # [P*5*C] int64 (pe, color) pair ``pe * C + lane``
+    f_link: np.ndarray     # [P*5*C] int64 link (or ramp) id ``pe * 5 + port``
+    #: FIFO a staged slot delivers into (the neighbour's opposite port);
+    #: -1 for RAMP slots and off-grid links.
+    s_dst: np.ndarray      # [P*5*C] int64
 
     @property
     def n_colors(self) -> int:
@@ -491,6 +504,12 @@ def lower_arrays(schedule: Schedule) -> ScheduleArrays:
                 raise TypeError(f"unknown op {op!r} on PE {pe}")
             kinds.add(int(op_kind[pe, j]))
 
+    f = np.arange(P * 5 * C, dtype=np.int64)
+    f_link = f // C
+    lane = f % C
+    nb = nbr.reshape(-1).astype(np.int64)[f_link]
+    s_dst = np.where(nb >= 0, (nb * 5 + _OPPOSITE[f_link % 5]) * C + lane, -1)
+
     lowered = ScheduleArrays(
         n_pes=P,
         colors=colors,
@@ -511,6 +530,9 @@ def lower_arrays(schedule: Schedule) -> ScheduleArrays:
         tags=tags,
         emit_total=emit_total,
         kinds_present=frozenset(kinds),
+        f_pc=f_link // 5 * C + lane,
+        f_link=f_link,
+        s_dst=s_dst,
     )
     schedule.__dict__["_lowered_arrays"] = lowered
     return lowered

@@ -137,7 +137,8 @@ def summarize_trace(trace: Dict[str, Any]) -> str:
             lines.append(
                 f"  cycles: {int(total_cycles)} total, "
                 f"{int(strided)} strided ({strided / total_cycles:.1%}), "
-                f"{int(cycle_totals.get('stepped', 0.0))} stepped"
+                f"{int(cycle_totals.get('stepped', 0.0))} stepped, "
+                f"{int(cycle_totals.get('jumped', 0.0))} jumped"
             )
     truncated = trace.get("otherData", {}).get("truncated_events", 0)
     if truncated:

@@ -25,7 +25,7 @@ from repro.engine import (
     sweep,
     use_session,
 )
-from repro.engine import shm
+from repro.engine import shm, transport
 
 pytestmark = pytest.mark.usefixtures("shm_leak_guard", "close_sessions")
 
@@ -97,6 +97,28 @@ class TestWarmSessionEquivalence:
             session.sweep(specs, datas)
             assert session.stats.shm_chunks == session.stats.chunks > 0
             assert session.stats.shm_bytes > 0
+
+    def test_longest_predicted_simulation_ships_first(self, rng, monkeypatch):
+        """Each spec's first chunk simulates; they ship in descending
+        predicted cycles so the slowest simulation never starts last."""
+        specs, datas = _mixed_batch(rng)
+        # Present the batch shortest predicted simulation first.
+        order = sorted(range(len(specs)),
+                       key=lambda i: wse.plan(specs[i]).predicted_cycles)
+        specs, datas = [specs[i] for i in order], [datas[i] for i in order]
+        shipped, ship = [], transport.ship
+
+        def recording_ship(pool, chunk_plan, *args, **kwargs):
+            shipped.append(chunk_plan)
+            return ship(pool, chunk_plan, *args, **kwargs)
+
+        monkeypatch.setattr(transport, "ship", recording_ship)
+        with EngineSession(workers=2) as session:
+            session.sweep(specs, datas)
+        firsts = list({id(plan): plan for plan in shipped}.values())
+        predicted = [plan.predicted_cycles for plan in firsts]
+        assert len(firsts) == len(set(specs)) and len(set(predicted)) > 1
+        assert predicted == sorted(predicted, reverse=True)
 
     def test_no_segment_to_be_had_runs_the_batch_serially(
         self, rng, monkeypatch

@@ -13,14 +13,22 @@ fallback).  These tests enforce that contract three ways:
 * a hypothesis fuzz over random small ``PEProgram`` grids (random
   sizes, lengths, fifo capacities, ramp latencies, timer mixes).
 
+The zoo and the chain fuzz run twice: as shipped, and with
+``REPRO_SIM_STRIDE=0`` so the stepped phases meet the oracle on cycles
+a stride window would otherwise skip.
+
 The zoo and the fuzz also check a law each backend must keep on its
 own: simulated timing does not depend on input values.  Normal, NaN,
 ±inf and −0.0 inputs must give the same ``SimResult`` in every field
 but ``buffers`` — what lets the tuner time a spec on any input.
 
-Plus the backend-selector plumbing itself: ``REPRO_SIM_BACKEND``,
-explicit ``backend=``, unknown-name rejection and fallback tagging.
+Plus the vectorized backend's cycle accounting (every simulated cycle
+is stepped, strided or jumped over), and the backend-selector plumbing
+itself: ``REPRO_SIM_BACKEND``, explicit ``backend=``, unknown-name
+rejection and fallback tagging.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -46,8 +54,13 @@ from repro.fabric.simulator import (
     resolve_backend,
     simulate,
 )
-from repro.fabric.vectorized import UnsupportedSchedule, VectorizedSimulator
+from repro.fabric.vectorized import (
+    UnsupportedSchedule,
+    VectorizedSimulator,
+    stride_enabled,
+)
 from repro.model.params import MachineParams
+from repro.obs import METRICS, use_telemetry
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +115,15 @@ def _differential(schedule, inputs, **kwargs):
     ref = _outcome(FabricSimulator, schedule, inputs, **kwargs)
     vec = _outcome(VectorizedSimulator, schedule, inputs, **kwargs)
     _assert_same(ref, vec, schedule.name)
+
+
+@contextmanager
+def _stride_off():
+    """Run the block with the vectorized backend's stride path disabled."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_SIM_STRIDE", "0")
+        assert not stride_enabled()
+        yield
 
 
 def _random_inputs(schedule, seed):
@@ -190,6 +212,15 @@ _ZOO = pytest.mark.parametrize(
 def test_zoo_bit_identical(kind, grid, algorithm, b):
     schedule, kwargs = _zoo_schedule(kind, grid, algorithm, b)
     _differential(schedule, _random_inputs(schedule, b), **kwargs)
+
+
+@_ZOO
+def test_zoo_bit_identical_stride_off(kind, grid, algorithm, b):
+    # Stride windows skip most cycles of the larger zoo grids; with
+    # striding off the stepped phases meet the oracle on every cycle.
+    schedule, kwargs = _zoo_schedule(kind, grid, algorithm, b)
+    with _stride_off():
+        _differential(schedule, _random_inputs(schedule, b), **kwargs)
 
 
 @_ZOO
@@ -346,9 +377,61 @@ def test_fuzz_chain_parity(case):
 
 @settings(max_examples=40, deadline=None)
 @given(_chain_case())
+def test_fuzz_chain_parity_stride_off(case):
+    schedule, kwargs, seed = _chain_schedule(case)
+    with _stride_off():
+        _differential(schedule, _random_inputs(schedule, seed), **kwargs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chain_case())
 def test_fuzz_chain_timing_ignores_values(case):
     schedule, kwargs, seed = _chain_schedule(case)
     _assert_timing_ignores_values(schedule, seed, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Cycle accounting: every simulated cycle is stepped, strided or jumped
+# ---------------------------------------------------------------------------
+
+
+def _cycle_split(schedule, inputs, **kwargs):
+    """``(cycles, {stepped, strided, jumped})`` of one telemetered run."""
+    before = METRICS.snapshot()
+    with use_telemetry() as collected:
+        result = VectorizedSimulator(schedule, inputs=inputs, **kwargs).run()
+    delta = METRICS.delta(before)
+    split = {kind: delta.get(f"sim.cycles.{kind}", 0)
+             for kind in ("stepped", "strided", "jumped")}
+    samples = [e["args"] for e in collected.events
+               if e.get("name") == "sim.cycles"]
+    assert samples == [split]
+    return result.cycles, split
+
+
+def test_cycle_split_counts_idle_jumps():
+    s = _two_pe(4)
+    s.programs[1].ops.insert(0, Delay(cycles=40))
+    cycles, split = _cycle_split(s, _random_inputs(s, 0))
+    assert split["jumped"] > 0  # the Delay is fast-forwarded, not stepped
+    assert split["stepped"] + split["strided"] + split["jumped"] == cycles
+
+
+def test_cycle_split_on_the_1d_chain():
+    s = build_schedule("reduce", Grid(1, 64), "chain", 192)
+    cycles, split = _cycle_split(s, _random_inputs(s, 5),
+                                 combine=REDUCE_OPS["sum"])
+    assert split["stepped"] + split["strided"] + split["jumped"] == cycles
+
+
+def test_cycle_split_is_not_published_when_off():
+    s = _two_pe(4)
+    s.programs[1].ops.insert(0, Delay(cycles=40))
+    before = METRICS.snapshot()
+    VectorizedSimulator(s, inputs=_random_inputs(s, 0)).run()
+    delta = METRICS.delta(before)
+    assert all(value == 0 for key, value in delta.items()
+               if key.startswith("sim.cycles"))
 
 
 # ---------------------------------------------------------------------------
