@@ -6,9 +6,9 @@ contract out and makes it durable:
 
 * :mod:`repro.engine.session` — :class:`EngineSession`, *the* engine:
   runs ``run_many``-style batches on one persistent process pool (built
-  on first need, reused across sweeps), bit-identical to the serial
-  path, with the retry/timeout/quarantine/pool-loss recovery loop and a
-  serial fallback; :func:`use_session` / :func:`set_session` install a
+  on first need, reused across sweeps, at most one process per CPU),
+  bit-identical to the serial path, with the retry/timeout/quarantine/
+  pool-loss recovery loop and a serial fallback; :func:`use_session` / :func:`set_session` install a
   module default;
 * :mod:`repro.engine.partition` — the pure split of a batch into
   one-spec, bounded-size chunks, and its ``verify_assignments`` checker;

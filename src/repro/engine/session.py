@@ -18,8 +18,17 @@ persistent :class:`~concurrent.futures.ProcessPoolExecutor`:
   plus buffers from the value pass (:mod:`repro.fabric.values`, via
   :func:`~repro.core.api.execute_batch`).  A spec's other chunks wait
   for its first one and ship with its outcome, so they simulate
-  nothing; at most ``workers`` chunks are in flight, and released
-  chunks go to the front of the queue;
+  nothing.  Chunks that simulate ship longest predicted simulation
+  first, and released chunks join the back of the queue, so the short
+  value-pass chunks fill in at the end of the sweep;
+* **one process per CPU** — the pool runs ``min(workers, CPUs)``
+  processes (:attr:`EngineSession.processes`).  Chunks are CPU-bound,
+  so processes beyond the CPUs only time-slice the same cores: each
+  chunk then returns to a cache-cold core, and the longest simulation
+  shares its core instead of finishing first.  ``workers`` still sets
+  how finely :func:`~repro.engine.partition.partition` cuts the batch.
+  Without a ``chunk_timeout``, one more chunk per process waits in the
+  pool, so a worker does not idle through the parent's round trip;
 * **deterministic ordering** — results are reassembled by original
   index, bit-identical to the serial path no matter how many workers
   ran (simulation is pure, transport is lossless);
@@ -62,6 +71,7 @@ fault-injection hooks in :mod:`repro.engine.faults` (``REPRO_FAULTS``).
 from __future__ import annotations
 
 import dataclasses
+import gc
 import multiprocessing
 import os
 import pickle
@@ -228,10 +238,11 @@ class _Batch:
         for index, outcome in zip(task.indices, outcomes):
             self.results[index] = outcome
         if task.spec not in self.timed:
-            self.timed[task.spec] = dataclasses.replace(
-                outcomes[0], plan=self.plans[task.spec])
-        # Released chunks only replay values: they go to the front.
-        self.queue.extendleft(reversed(self.waiting.pop(task.spec, [])))
+            self.timed[task.spec] = outcomes[0]
+        # Released chunks only replay values, so they are short: queued
+        # behind the simulating chunks, they even out the processes'
+        # finishing times at the end of the sweep.
+        self.queue.extend(self.waiting.pop(task.spec, []))
 
 
 class EngineSession:
@@ -241,7 +252,8 @@ class EngineSession:
     call :meth:`attach` / :meth:`close` explicitly, or just
     :meth:`sweep` — the pool is built when a batch first needs it.
     ``workers=None`` uses every CPU the process may schedule on;
-    ``workers=1`` is exactly the serial pipeline.  ``db`` (a
+    ``workers=1`` is exactly the serial pipeline; the pool itself runs
+    :attr:`processes` ``= min(workers, CPUs)`` processes.  ``db`` (a
     :class:`TuneDB` or a path to one) re-warms the process-wide plan
     cache on :meth:`attach`.  One session can run many sweeps;
     :attr:`stats` accumulates across them.  Read-only state:
@@ -275,6 +287,8 @@ class EngineSession:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = default_workers() if workers is None else int(workers)
+        #: pool processes, and most chunks in flight at once.
+        self.processes = min(self.workers, default_workers())
         timeout = _knob(chunk_timeout, "chunk_timeout", "REPRO_CHUNK_TIMEOUT",
                         None, float)
         self.chunk_timeout = timeout if timeout and timeout > 0 else None
@@ -327,9 +341,14 @@ class EngineSession:
         if (self.pool is None and self.workers > 1 and not self.degraded
                 and not multiprocessing.current_process().daemon):
             try:
-                with _obs.span("session.build_pool", workers=self.workers):
+                with _obs.span("session.build_pool", workers=self.processes):
+                    # A forked worker's first full collection would walk
+                    # every object it inherited and copy the parent's heap
+                    # (0.1-0.2 s per worker under the test suite); none of
+                    # them is its garbage, so workers freeze them first.
                     self.pool = ProcessPoolExecutor(
-                        max_workers=self.workers, mp_context=_pool_context()
+                        max_workers=self.processes, mp_context=_pool_context(),
+                        initializer=gc.freeze,
                     )
                 self._pool_fresh = True
             except OSError:
@@ -437,7 +456,7 @@ class EngineSession:
             self._pool_fresh = False
         self.stats.chunks += len(chunks)
         self.stats.workers = max(self.stats.workers,
-                                 min(self.workers, len(chunks)))
+                                 min(self.processes, len(chunks)))
         return batch.results  # type: ignore[return-value]
 
     def _run_chunks(self, batch: _Batch) -> None:
@@ -451,13 +470,18 @@ class EngineSession:
         sweep drains serially in the parent.
         """
         queue, inflight = batch.queue, batch.inflight
+        # Without a timeout, one chunk waits behind each running one, so
+        # a worker that finishes starts its next chunk without waiting
+        # for the parent's round trip.  A waiting chunk's deadline would
+        # run while it waits, so with a timeout only what can start ships.
+        slots = self.processes * (1 if self.chunk_timeout else 2)
         try:
             while queue or inflight:
                 if self.pool is None:
                     while queue:
                         batch.run_serial(queue.popleft())
                     continue
-                while queue and len(inflight) < self.workers:
+                while queue and len(inflight) < slots:
                     task = queue.popleft()
                     try:
                         self._ship(batch, task)

@@ -4,8 +4,9 @@ A chunk's arrays cross the process boundary through
 :mod:`repro.engine.shm`, both ways: the parent packs the inputs into one
 named segment and ships ``(name, shape, dtype, offset)`` descriptors,
 and the worker packs the heavy result arrays (per-PE buffers, the
-collective result) into a reply segment.  Only the plan, the
-descriptors and the small outcome fields ride the pool's pipes.
+collective result) into a reply segment.  Only the plan (on the way
+out), the descriptors and the small outcome fields ride the pool's
+pipes; the parent gives returned outcomes its own plan object back.
 
 Bytes are copied verbatim, so outcomes are bit-identical to in-process
 execution.  Every segment is created, read and unlinked here: the parent
@@ -75,6 +76,8 @@ class Shipment:
     future: Future
     #: the parent-owned input segment.
     segment: shm.Segment
+    #: the plan the chunk executes, for its outcomes on the way back.
+    plan: Plan
 
 
 # -- worker side --------------------------------------------------------------
@@ -88,13 +91,17 @@ def _heavy(outcomes: List[CollectiveOutcome]):
             yield outcome.sim.buffers[pe]
 
 
-def _with_heavy(outcomes: List[CollectiveOutcome], values):
+def _with_heavy(outcomes: List[CollectiveOutcome], values,
+                chunk_plan: Optional[Plan]):
     """``outcomes`` with each :func:`_heavy` array replaced by the next
-    of ``values`` (descriptors on the way out, arrays on the way in)."""
+    of ``values`` (descriptors on the way out, arrays on the way in) and
+    their plan by ``chunk_plan``: replies travel without it, and the
+    parent puts back its own."""
     cursor = iter(values)
     return [
         dataclasses.replace(
             outcome,
+            plan=chunk_plan,
             result=next(cursor),
             sim=dataclasses.replace(outcome.sim, buffers={
                 pe: next(cursor) for pe in sorted(outcome.sim.buffers)
@@ -121,7 +128,7 @@ def _execute(chunk_plan: Plan, inputs: _ShmInputs,
     finally:
         mem.close()
     segment, refs = shm.pack(list(_heavy(outcomes)))
-    return _Reply(_with_heavy(outcomes, refs), segment)
+    return _Reply(_with_heavy(outcomes, refs, None), segment)
 
 
 def run_chunk(
@@ -200,7 +207,7 @@ def ship(
     except BaseException:
         shm.unlink(segment.name)
         raise
-    return Shipment(future, segment)
+    return Shipment(future, segment, chunk_plan)
 
 
 def _merge_telemetry(reply: _Reply) -> None:
@@ -230,7 +237,7 @@ def consume(shipment: Shipment) -> List[CollectiveOutcome]:
             arrays = shm.read(reply.segment, list(_heavy(reply.outcomes)))
         finally:
             shm.unlink(reply.segment.name)
-        return _with_heavy(reply.outcomes, arrays)
+        return _with_heavy(reply.outcomes, arrays, shipment.plan)
     finally:
         shm.unlink(shipment.segment.name)
 

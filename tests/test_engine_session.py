@@ -8,6 +8,7 @@ always unlinked, worker crashes included.
 """
 
 import errno
+import gc
 import glob
 import multiprocessing
 import os
@@ -20,6 +21,7 @@ from repro.core.cache import PLAN_CACHE
 from repro.engine import (
     EngineSession,
     TuneDB,
+    default_workers,
     get_session,
     set_session,
     sweep,
@@ -119,6 +121,72 @@ class TestWarmSessionEquivalence:
         predicted = [plan.predicted_cycles for plan in firsts]
         assert len(firsts) == len(set(specs)) and len(set(predicted)) > 1
         assert predicted == sorted(predicted, reverse=True)
+
+    def test_pool_runs_at_most_one_process_per_cpu(self, rng):
+        """``workers`` beyond the CPUs cuts finer chunks, but the pool
+        starts no more processes than the parent may use CPUs."""
+        specs, datas = _mixed_batch(rng)
+        cpus = default_workers()
+        with EngineSession(workers=cpus + 2) as session:
+            assert session.processes == cpus
+            _assert_outcomes_equal(session.sweep(specs, datas),
+                                   wse.run_many(specs, datas))
+            assert len(session.pool._processes) == cpus
+            assert 1 <= session.stats.workers <= cpus
+
+    def test_workers_start_with_the_inherited_heap_frozen(self):
+        """A forked worker's garbage collections skip what it inherited
+        from the parent (walking it would copy the parent's heap)."""
+        with EngineSession(workers=2) as session:
+            assert session.pool.submit(gc.get_freeze_count).result() > 0
+
+    @pytest.mark.parametrize("chunk_timeout, per_process",
+                             [(None, 2), (30.0, 1)], ids=["none", "timeout"])
+    def test_chunks_in_flight_per_process(
+        self, rng, monkeypatch, chunk_timeout, per_process
+    ):
+        """Without a timeout one chunk waits behind each running one;
+        with a timeout only chunks that can start are in flight, since a
+        waiting chunk's deadline would run while it waits."""
+        specs = [CollectiveSpec("reduce", Grid(1, p), 8)
+                 for p in range(2, 14)]
+        datas = [rng.normal(size=(spec.grid.size, 8)) for spec in specs]
+        in_flight, ship = [], EngineSession._ship
+
+        def recording_ship(session, batch, task):
+            ship(session, batch, task)
+            in_flight.append(len(batch.inflight) + 1)
+
+        monkeypatch.setattr(EngineSession, "_ship", recording_ship)
+        with EngineSession(workers=2, chunk_timeout=chunk_timeout) as session:
+            _assert_outcomes_equal(session.sweep(specs, datas),
+                                   wse.run_many(specs, datas))
+        assert max(in_flight) == per_process * session.processes
+
+    def test_released_chunks_queue_behind_the_simulating_ones(
+        self, rng, monkeypatch
+    ):
+        """A spec's value-pass chunks ship after every spec's simulating
+        chunk, so the short ones fill in at the end of the sweep."""
+        # Eight specs of four points; four workers cut two chunks each.
+        specs = [CollectiveSpec("reduce", Grid(1, p), 8)
+                 for p in range(2, 10)] * 4
+        datas = [rng.normal(size=(spec.grid.size, 8)) for spec in specs]
+        shipped, ship = [], transport.ship
+
+        def recording_ship(pool, chunk_plan, datas, fault=None, meta=None,
+                           timed=None):
+            shipped.append(timed is None)
+            return ship(pool, chunk_plan, datas, fault, meta, timed)
+
+        monkeypatch.setattr(transport, "ship", recording_ship)
+        with EngineSession(workers=4) as session:
+            _assert_outcomes_equal(session.sweep(specs, datas),
+                                   wse.run_many(specs, datas))
+        simulating = len(set(specs))
+        assert shipped[:simulating] == [True] * simulating
+        assert shipped[simulating:] == [False] * (len(shipped) - simulating)
+        assert len(shipped) > simulating
 
     def test_no_segment_to_be_had_runs_the_batch_serially(
         self, rng, monkeypatch

@@ -64,6 +64,28 @@ def test_round_trip_is_bit_identical(pool, rng, spec, meta):
     _assert_bit_identical(transport.consume(shipment), reference)
 
 
+def test_replies_travel_without_the_plan(pool, rng):
+    """The worker's reply leaves the plan behind; the consumed outcomes
+    carry the parent's own plan object, as in-process outcomes do."""
+    chunk_plan, datas = _chunk(REDUCE, rng)
+    reply = pool.submit(_reply_plans, chunk_plan, datas).result()
+    assert reply == [None] * len(datas)
+    outcomes = transport.consume(transport.ship(pool, chunk_plan, datas))
+    assert all(outcome.plan is chunk_plan for outcome in outcomes)
+
+
+def _reply_plans(chunk_plan, datas):
+    """Run a chunk in this worker; the plans its reply would carry."""
+    segment, refs = shm.pack(datas)
+    try:
+        reply = transport.run_chunk(chunk_plan,
+                                    transport._ShmInputs(segment, refs))
+        shm.unlink(reply.segment.name)
+    finally:
+        shm.unlink(segment.name)
+    return [outcome.plan for outcome in reply.outcomes]
+
+
 def test_worker_telemetry_reaches_the_parent_timeline(pool, rng):
     chunk_plan, datas = _chunk(REDUCE, rng)
     with export.use_telemetry() as got:
