@@ -35,6 +35,17 @@ in the house).  On boot the plan cache is warm-started from the TuneDB
 (:meth:`TuneDB.hydrate_plan_cache`), so recorded specs are cache hits
 from the first request.
 
+Connections are persistent (HTTP/1.1 keep-alive): one connection
+carries requests until the peer closes it, a request says
+``Connection: close`` or is HTTP/1.0, a request cannot be framed, or it
+sits idle for :data:`IDLE_TIMEOUT_S`.  Bodies are ``Content-Length``
+only; ``Transfer-Encoding`` is a 400 that closes the connection, as is
+any error raised before the body was read in full (a 413 included), so
+a connection never parses body bytes as the next request.  Admission
+(429/503) is per request, and the latency histogram starts when a
+request line arrives, so idle time between requests is never counted.
+:meth:`PlannerService.stop` closes every open connection.
+
 Everything here is stdlib: ``asyncio`` sockets and a small HTTP/1.1
 reader — no web framework, no new runtime dependency.
 """
@@ -48,7 +59,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -81,6 +92,10 @@ __all__ = ["ServiceConfig", "PlannerService", "serve_in_thread"]
 
 #: Largest accepted request body; bigger gets 413 without reading it in.
 MAX_BODY_BYTES = 8 << 20
+
+#: Seconds a connection may wait for its next request line before the
+#: server closes it.
+IDLE_TIMEOUT_S = 5.0
 
 _STATUS_TEXT = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -196,12 +211,14 @@ class PlannerService:
         self._batch_lock = threading.Lock()
         self._bucket = _TokenBucket(self.config.rate, self.config.burst)
         self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: Set[asyncio.StreamWriter] = set()
         self._sem: Optional[asyncio.Semaphore] = None
         self._waiting = 0
         self._started = time.monotonic()
         self.hydrated_plans = 0
         self.tunedb: Optional[TuneDB] = None
         m = METRICS
+        self._m_connections = m.counter("service.connections")
         self._m_requests = m.counter("service.requests")
         self._m_coalesced = m.counter("service.coalesced")
         self._m_rejected = m.counter("service.rejected")
@@ -258,9 +275,11 @@ class PlannerService:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Close the listener and release the pools; idempotent."""
+        """Close the listener, every connection and the pools; idempotent."""
         if self._server is not None:
             self._server.close()
+            for writer in list(self._connections):
+                writer.close()
             await self._server.wait_closed()
             self._server = None
         if self._owns_session and self.session is not None:
@@ -275,16 +294,48 @@ class PlannerService:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._m_connections.inc()
+        self._connections.add(writer)
+        loop = asyncio.get_running_loop()
+        try:
+            while True:
+                # Closing an idle connection ends the read below with EOF.
+                idle = loop.call_later(IDLE_TIMEOUT_S, writer.close)
+                try:
+                    request_line = await reader.readline()
+                except ValueError:  # longer than the stream's line limit
+                    request_line = b"-"  # answered as a malformed line
+                finally:
+                    idle.cancel()
+                if not request_line:
+                    break  # the peer closed, the idle timeout, or stop()
+                if not await self._serve_one(request_line, reader, writer):
+                    break
+        except OSError:
+            pass  # the peer went away while its response was written
+        finally:
+            self._connections.discard(writer)
+            writer.close()
+
+    async def _serve_one(
+        self,
+        request_line: bytes,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> bool:
+        """Answer one request; ``True`` if the connection stays open."""
         started = time.monotonic()
         method = path = "?"
+        keep_alive = False  # until the request is framed and asks for it
         try:
-            method, path, headers, body = await self._read_request(reader)
+            method, path, headers, body, keep_alive = (
+                await self._read_request(request_line, reader)
+            )
             status, payload = await self._route(method, path, headers, body)
         except _HttpError as exc:
             status, payload = exc.status, exc.response.to_payload()
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            writer.close()
-            return
+        except (asyncio.IncompleteReadError, OSError):
+            return False  # the connection failed mid-request
         except ValidationError as exc:
             status = 400
             payload = ErrorResponse(
@@ -296,40 +347,60 @@ class PlannerService:
         endpoint = path.split("?", 1)[0]
         self._m_requests.inc(endpoint=endpoint, status=status)
         self._m_latency.observe(time.monotonic() - started, endpoint=endpoint)
-        try:
-            await self._write_response(writer, status, payload)
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            writer.close()
+        await self._write_response(writer, status, payload, keep_alive)
+        return keep_alive
 
     @staticmethod
     async def _read_request(
-        reader: asyncio.StreamReader,
-    ) -> Tuple[str, str, Dict[str, str], bytes]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
-        parts = request_line.split()
+        request_line: bytes, reader: asyncio.StreamReader,
+    ) -> Tuple[str, str, Dict[str, str], bytes, bool]:
+        """Frame one request: ``(method, path, headers, body, keep_alive)``.
+
+        Raises :class:`_HttpError` for anything that cannot be framed;
+        the caller then closes the connection.
+        """
+        parts = request_line.decode("latin-1").split()
         if len(parts) != 3:
             raise _HttpError(400, ErrorResponse("malformed request line"))
-        method, path, _version = parts
+        method, path, version = parts
         headers: Dict[str, str] = {}
         while True:
-            line = (await reader.readline()).decode("latin-1").rstrip("\r\n")
+            try:
+                raw = await reader.readline()
+            except ValueError:  # longer than the stream's line limit
+                raise _HttpError(400, ErrorResponse("header line too long"))
+            line = raw.decode("latin-1").rstrip("\r\n")
             if not line:
                 break
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        if "transfer-encoding" in headers:
+            raise _HttpError(400, ErrorResponse(
+                "Transfer-Encoding is not supported; send Content-Length"
+            ))
+        text = headers.get("content-length", "0")
+        if not (text.isascii() and text.isdigit()):
+            raise _HttpError(400, ErrorResponse(
+                f"malformed Content-Length {text!r}"
+            ))
+        length = int(text)
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, ErrorResponse(
                 f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
             ))
         body = await reader.readexactly(length) if length else b""
-        return method, path, headers, body
+        tokens = headers.get("connection", "").lower().split(",")
+        keep_alive = version == "HTTP/1.1" and "close" not in map(
+            str.strip, tokens
+        )
+        return method, path, headers, body, keep_alive
 
     @staticmethod
     async def _write_response(
-        writer: asyncio.StreamWriter, status: int, payload: Dict[str, Any]
+        writer: asyncio.StreamWriter,
+        status: int,
+        payload: Dict[str, Any],
+        keep_alive: bool,
     ) -> None:
         body = json.dumps(payload).encode()
         text = _STATUS_TEXT.get(status, "Unknown")
@@ -341,7 +412,8 @@ class PlannerService:
         retry_after = payload.get("retry_after")
         if retry_after is not None:
             head += f"Retry-After: {max(1, int(retry_after + 0.999))}\r\n"
-        head += "Connection: close\r\n\r\n"
+        connection = "keep-alive" if keep_alive else "close"
+        head += f"Connection: {connection}\r\n\r\n"
         writer.write(head.encode("latin-1") + body)
         await writer.drain()
 

@@ -2,9 +2,13 @@
 
 The client speaks the same :mod:`repro.service.schemas` vocabulary the
 server does — requests go in as dataclasses, responses come back as
-dataclasses — so test code and examples never touch raw JSON.  One
-connection per call (the server closes connections after each
-response), no retries: retry policy belongs to the caller, who can see
+dataclasses — so test code and examples never touch raw JSON.
+
+Each thread calling a client keeps one persistent connection to the
+server, so one client can be shared by many threads.  A connection the
+server closed while it sat idle is reopened once and the request resent;
+that is the only retry.  Errors on a fresh connection surface as they
+are, and other retry policy belongs to the caller, who can see
 :class:`ServiceError.retry_after` on 429/503.
 """
 
@@ -13,8 +17,9 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import threading
 import time
-from typing import Any, Dict, Iterable, Optional, Sequence
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from .schemas import (
     HealthResponse,
@@ -44,6 +49,25 @@ class ServiceError(RuntimeError):
         )
 
 
+#: What a request on a reused connection raises when the server has
+#: already closed it; the client reconnects once and resends.
+_STALE = (
+    http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError,
+)
+
+
+def _exchange(
+    conn: http.client.HTTPConnection,
+    method: str,
+    path: str,
+    body: Optional[str],
+    headers: Dict[str, str],
+) -> Tuple[http.client.HTTPResponse, bytes]:
+    conn.request(method, path, body=body, headers=headers)
+    response = conn.getresponse()
+    return response, response.read()
+
+
 class ServiceClient:
     """Typed calls against one planner-service address."""
 
@@ -58,6 +82,7 @@ class ServiceClient:
         self.port = port
         self.tenant = tenant
         self.timeout = timeout
+        self._local = threading.local()  # .conn: this thread's connection
 
     # -- transport ----------------------------------------------------------
 
@@ -65,23 +90,42 @@ class ServiceClient:
         self, method: str, path: str, payload: Optional[Dict[str, Any]] = None
     ) -> Dict[str, Any]:
         """One HTTP round trip; raises :class:`ServiceError` on non-2xx."""
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+        headers = {"Content-Type": "application/json"}
+        if self.tenant is not None:
+            headers["X-Tenant"] = self.tenant
+        body = None if payload is None else json.dumps(payload)
+        conn = getattr(self._local, "conn", None)
+        reused = conn is not None
+        if not reused:
+            conn = self._connect()
         try:
-            headers = {"Content-Type": "application/json"}
-            if self.tenant is not None:
-                headers["X-Tenant"] = self.tenant
-            body = None if payload is None else json.dumps(payload)
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-        finally:
+            try:
+                response, raw = _exchange(conn, method, path, body, headers)
+            except _STALE:
+                if not reused:
+                    raise
+                # The server closed this connection while it sat idle.
+                conn.close()
+                conn = self._connect()
+                response, raw = _exchange(conn, method, path, body, headers)
+        except BaseException:
             conn.close()
+            self._local.conn = None
+            raise
+        if response.will_close:
+            conn.close()
+            self._local.conn = None
         decoded = json.loads(raw.decode()) if raw else {}
         if not 200 <= response.status < 300:
             raise ServiceError(response.status, decoded)
         return decoded
+
+    def _connect(self) -> http.client.HTTPConnection:
+        conn = http.client.HTTPConnection(
+            self.host, self.port, timeout=self.timeout
+        )
+        self._local.conn = conn
+        return conn
 
     def wait_ready(self, timeout: float = 30.0) -> HealthResponse:
         """Poll ``/healthz`` until the service answers (or raise)."""

@@ -7,8 +7,11 @@ surface — ``/healthz``, ``/plan`` (twice: miss then cached hit),
 ``/sweep`` with one spec at seeds 7, 8 and 7 (asserting every returned
 result is **bit-identical** to executing the same point through the
 library in this process, the repeats included), and ``/stats`` (asserting the ``service.requests``
-counters moved).  It finishes by terminating the process group and
-probing that nothing survived — a leaked worker fails the run.
+counters moved).  Every request goes through one client, and
+``service.connections`` must show that they all rode one persistent
+connection.  It finishes by terminating the process group while that
+connection is still open, and probing that nothing survived — a leaked
+worker, or a server the open connection keeps alive, fails the run.
 
 Exit code 0 on success; any assertion or leak exits non-zero with a
 message on stderr.
@@ -114,6 +117,12 @@ def main() -> int:
         except ServiceError as exc:
             malformed = exc.status == 400 and bool(exc.errors)
         assert malformed, "malformed spec must 400 with structured errors"
+
+        # The connection stays open from here through the SIGTERM below.
+        connections = client.stats().metrics.get("service.connections")
+        if connections != 1:
+            _fail(f"one client's requests used {connections} connections, "
+                  "not one kept-alive connection")
     finally:
         with_err = sys.exc_info()[0] is not None
         try:
@@ -139,7 +148,7 @@ def main() -> int:
         _fail("leaked processes survived shutdown")
 
     print("smoke: OK (plan coalesce/cache, sweep bit-identity, stats, "
-          "400 path, clean shutdown)")
+          "400 path, one kept-alive connection, clean shutdown)")
     return 0
 
 

@@ -12,9 +12,16 @@ counter-assertable rather than anecdotal:
 * service answers are bit-identical to the library path (plan
   prediction and seeded sweep results);
 * malformed specs 400 with every field error collected, over-rate
-  tenants 429 with ``retry_after``, an over-capacity service 503s.
+  tenants 429 with ``retry_after``, an over-capacity service 503s;
+* connections persist: raw-socket tests pin the keep-alive framing
+  (``Connection: close``, HTTP/1.0, ``Transfer-Encoding``, malformed
+  ``Content-Length``, 413, idle timeout, ``stop()``), and client tests
+  pin one connection per thread and the single reconnect.
 """
 
+import http.client
+import json
+import socket
 import threading
 import time
 
@@ -23,6 +30,7 @@ import pytest
 
 import repro
 from repro.core.api import execute, plan as lib_plan
+from repro.service import app as service_app
 from repro.core.cache import PLAN_CACHE
 from repro.obs.metrics import METRICS
 from repro.service import (
@@ -149,7 +157,11 @@ def test_stats_schema_and_service_series(server):
 # -- coalescing --------------------------------------------------------------
 
 
-def test_32_concurrent_identical_plans_invoke_planner_once(monkeypatch):
+def _herd(monkeypatch, shared_client: bool):
+    """32 threads ask one new spec at once, through one client each or
+    through one ``shared_client``.  Returns the planner calls, the
+    responses, the errors, and the ``service.coalesced`` and
+    ``service.connections`` deltas."""
     from repro.core import api as core_api
 
     calls = []
@@ -163,18 +175,22 @@ def test_32_concurrent_identical_plans_invoke_planner_once(monkeypatch):
         return real(spec)
 
     monkeypatch.setattr(core_api, "_plan_uncached", slow_planner)
-    spec = _spec(b=4096, cols=24)  # unique to this test
+    spec = _spec(b=4096, cols=24)  # unique to these tests
     PLAN_CACHE.clear()
-    before = METRICS.snapshot().get("service.coalesced", 0)
+    before = METRICS.snapshot()
 
     # Every handler must hold an admission slot while awaiting the shared
     # flight, so give the server headroom for the whole herd.
     with serve_in_thread(config=_config(max_inflight=64)) as (_, host, port):
         barrier = threading.Barrier(32)
         responses, errors = [], []
+        shared = ServiceClient(host, port, timeout=30)
 
         def worker():
-            client = ServiceClient(host, port, timeout=30)
+            client = (
+                shared if shared_client
+                else ServiceClient(host, port, timeout=30)
+            )
             barrier.wait()
             try:
                 responses.append(client.plan(spec))
@@ -186,8 +202,15 @@ def test_32_concurrent_identical_plans_invoke_planner_once(monkeypatch):
             t.start()
         for t in threads:
             t.join()
-        coalesced = METRICS.snapshot().get("service.coalesced", 0) - before
+        after = METRICS.snapshot()
+    deltas = {
+        key: after.get(key, 0) - before.get(key, 0)
+        for key in ("service.coalesced", "service.connections")
+    }
+    return calls, responses, errors, deltas
 
+
+def _assert_herd_planned_once(calls, responses, errors, coalesced):
     assert not errors
     assert len(calls) == 1, f"planner ran {len(calls)}x for one spec"
     assert len(responses) == 32
@@ -199,6 +222,23 @@ def test_32_concurrent_identical_plans_invoke_planner_once(monkeypatch):
     assert coalesced == sum(1 for r in responses if r.coalesced)
     assert coalesced >= 1
     assert sum(1 for r in responses if not r.cached and not r.coalesced) == 1
+
+
+def test_32_concurrent_identical_plans_invoke_planner_once(monkeypatch):
+    calls, responses, errors, deltas = _herd(monkeypatch, shared_client=False)
+    _assert_herd_planned_once(
+        calls, responses, errors, deltas["service.coalesced"],
+    )
+
+
+def test_one_client_shared_by_32_threads_plans_once(monkeypatch):
+    # perf's coalescing probe shares one client across its herd: each
+    # thread must get its own connection, not queue behind one socket.
+    calls, responses, errors, deltas = _herd(monkeypatch, shared_client=True)
+    _assert_herd_planned_once(
+        calls, responses, errors, deltas["service.coalesced"],
+    )
+    assert deltas["service.connections"] == 32
 
 
 # -- admission control -------------------------------------------------------
@@ -359,3 +399,223 @@ def test_boot_hydrates_plan_cache_from_tunedb(tmp_path):
         assert service.hydrated_plans >= 1
         response = ServiceClient(host, port).plan(_spec(b=72))
         assert response.cached, "hydrated spec must be a hit on request one"
+
+
+# -- persistent connections: the server, over raw sockets --------------------
+
+
+def _connect(host, port):
+    sock = socket.create_connection((host, port), timeout=10)
+    return sock, sock.makefile("rb")
+
+
+def _send(sock, method, path, body=b"", headers=(), version="HTTP/1.1"):
+    lines = [f"{method} {path} {version}", "Host: test", *headers]
+    if body and not any(
+        h.lower().startswith(("content-length", "transfer-encoding"))
+        for h in headers
+    ):
+        lines.append(f"Content-Length: {len(body)}")
+    sock.sendall(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
+
+
+def _response(rfile):
+    """``(status, headers, json body)`` of the next response."""
+    status_line = rfile.readline()
+    assert status_line, "connection closed before a response"
+    status = int(status_line.split()[1])
+    headers = {}
+    while True:
+        line = rfile.readline().decode("latin-1").rstrip("\r\n")
+        if not line:
+            break
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = rfile.read(int(headers["content-length"]))
+    return status, headers, json.loads(body)
+
+
+def _at_eof(rfile) -> bool:
+    """True once the server has closed; the 10 s timeout fails the read."""
+    try:
+        return rfile.read() == b""
+    except ConnectionResetError:
+        return True
+
+
+def _spec_body(b: int) -> bytes:
+    return json.dumps(_spec(b=b).to_payload()).encode()
+
+
+def _connections() -> int:
+    return METRICS.snapshot().get("service.connections", 0)
+
+
+def test_two_requests_share_one_connection(server):
+    before = _connections()
+    sock, rfile = _connect(server.host, server.port)
+    with sock, rfile:
+        _send(sock, "POST", "/plan", _spec_body(112))
+        status, headers, payload = _response(rfile)
+        assert status == 200 and headers["connection"] == "keep-alive"
+        assert payload["algorithm"] == lib_plan(
+            _spec(b=112).to_spec()).algorithm
+        _send(sock, "GET", "/healthz")
+        status, headers, payload = _response(rfile)
+        assert status == 200 and headers["connection"] == "keep-alive"
+        assert payload["status"] == "ok"
+    assert _connections() - before == 1
+
+
+@pytest.mark.parametrize("version, headers", [
+    ("HTTP/1.1", ("Connection: close",)),
+    ("HTTP/1.0", ()),
+])
+def test_close_requests_get_connection_close_then_eof(server, version, headers):
+    sock, rfile = _connect(server.host, server.port)
+    with sock, rfile:
+        _send(sock, "GET", "/healthz", headers=headers, version=version)
+        status, response_headers, _ = _response(rfile)
+        assert status == 200
+        assert response_headers["connection"] == "close"
+        assert _at_eof(rfile)
+
+
+def test_chunked_request_is_a_400_that_closes(server):
+    # The chunked body hides a second request; answering it would mean
+    # the body bytes were parsed as the next request.
+    smuggled = b"GET /healthz HTTP/1.1\r\n\r\n"
+    body = b"%x\r\n%s\r\n0\r\n\r\n" % (len(smuggled), smuggled)
+    sock, rfile = _connect(server.host, server.port)
+    with sock, rfile:
+        _send(sock, "POST", "/plan", body,
+              headers=("Transfer-Encoding: chunked",))
+        status, headers, payload = _response(rfile)
+        assert status == 400 and "Transfer-Encoding" in payload["error"]
+        assert headers["connection"] == "close"
+        assert _at_eof(rfile)
+
+
+@pytest.mark.parametrize("length", ["abc", "-5", "1e3"])
+def test_malformed_content_length_is_a_400_that_closes(server, length):
+    sock, rfile = _connect(server.host, server.port)
+    with sock, rfile:
+        _send(sock, "POST", "/plan", headers=(f"Content-Length: {length}",))
+        status, headers, payload = _response(rfile)
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+        assert headers["connection"] == "close"
+        assert _at_eof(rfile)
+
+
+@pytest.mark.parametrize("where", ["request_line", "header"])
+def test_overlong_line_is_a_400_that_closes(server, where):
+    long = "a" * 70_000  # past asyncio's 64 KiB stream line limit
+    sock, rfile = _connect(server.host, server.port)
+    with sock, rfile:
+        if where == "request_line":
+            _send(sock, "GET", "/" + long)
+        else:
+            _send(sock, "GET", "/healthz", headers=(f"X-Long: {long}",))
+        status, headers, _ = _response(rfile)
+        assert status == 400 and headers["connection"] == "close"
+        assert _at_eof(rfile)
+
+
+def test_oversized_body_is_a_413_that_closes(server):
+    sock, rfile = _connect(server.host, server.port)
+    with sock, rfile:
+        too_big = service_app.MAX_BODY_BYTES + 1
+        _send(sock, "POST", "/plan", headers=(f"Content-Length: {too_big}",))
+        status, headers, _ = _response(rfile)
+        assert status == 413 and headers["connection"] == "close"
+        assert _at_eof(rfile)
+
+
+def test_admission_is_per_request_on_one_connection():
+    config = _config(rate=0.001, burst=2)
+    with serve_in_thread(config=config) as (_, host, port):
+        before = _connections()
+        sock, rfile = _connect(host, port)
+        with sock, rfile:
+            statuses = []
+            for _ in range(3):
+                _send(sock, "POST", "/plan", _spec_body(32),
+                      headers=("X-Tenant: greedy",))
+                status, headers, _ = _response(rfile)
+                statuses.append(status)
+                assert headers["connection"] == "keep-alive"
+            assert statuses == [200, 200, 429]
+            # The 429 refused a request, not the connection.
+            _send(sock, "GET", "/healthz")
+            assert _response(rfile)[0] == 200
+        assert _connections() - before == 1
+
+
+def test_idle_time_between_requests_is_not_latency(server):
+    key = "service.latency_seconds{endpoint=/healthz}"
+    sock, rfile = _connect(server.host, server.port)
+    with sock, rfile:
+        _send(sock, "GET", "/healthz")
+        assert _response(rfile)[0] == 200
+        before = METRICS.snapshot()[key]["sum"]
+        time.sleep(1.0)
+        _send(sock, "GET", "/healthz")
+        assert _response(rfile)[0] == 200
+        assert METRICS.snapshot()[key]["sum"] - before < 0.5
+
+
+def test_idle_connection_is_closed_after_the_timeout(monkeypatch):
+    monkeypatch.setattr(service_app, "IDLE_TIMEOUT_S", 0.2)
+    with serve_in_thread(config=_config()) as (_, host, port):
+        sock, rfile = _connect(host, port)
+        with sock, rfile:
+            _send(sock, "GET", "/healthz")
+            assert _response(rfile)[0] == 200
+            idle_from = time.monotonic()
+            assert _at_eof(rfile)
+            assert time.monotonic() - idle_from >= 0.15
+
+
+def test_stop_closes_an_idle_connection_promptly(monkeypatch):
+    monkeypatch.setattr(service_app, "IDLE_TIMEOUT_S", 60.0)
+    with serve_in_thread(config=_config()) as (_, host, port):
+        sock, rfile = _connect(host, port)
+        _send(sock, "GET", "/healthz")
+        assert _response(rfile)[0] == 200
+        stopping = time.monotonic()
+    with sock, rfile:
+        assert time.monotonic() - stopping < 5.0
+        assert _at_eof(rfile), "stop() must close kept-alive connections"
+
+
+# -- persistent connections: the client --------------------------------------
+
+
+def test_client_reconnects_once_after_the_server_closed_idle(monkeypatch):
+    monkeypatch.setattr(service_app, "IDLE_TIMEOUT_S", 0.2)
+    with serve_in_thread(config=_config()) as (_, host, port):
+        before = _connections()
+        client = ServiceClient(host, port)
+        assert client.plan(_spec(b=40)).algorithm
+        time.sleep(0.6)  # the server closes the idle connection
+        assert client.plan(_spec(b=40)).cached
+        assert _connections() - before == 2
+
+
+def test_refused_connection_raises_without_retrying(monkeypatch):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]  # nothing listens here once closed
+    attempts = []
+    real_connect = http.client.HTTPConnection.connect
+
+    def counting_connect(self):
+        attempts.append(self.port)
+        return real_connect(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect",
+                        counting_connect)
+    with pytest.raises(OSError):
+        ServiceClient("127.0.0.1", port).healthz()
+    assert attempts == [port]
