@@ -39,9 +39,25 @@ does not change :math:`T_{AutoGen}`) at larger sizes.  The ablation bench
 ``benchmarks/test_ablation_autogen_caps.py`` quantifies this.
 
 Each (D, C) level is one NumPy min-plus convolution over all ``p``
-simultaneously (a Toeplitz gather), so the table build is
-:math:`O(P^2 \\cdot D_{max} C_{max})` element operations with NumPy
-throughput.
+simultaneously (a Toeplitz gather), so a full sweep is
+:math:`O(P^2 \\cdot D_{max} C_{max})` element operations.
+
+Most levels are copies, not convolutions.  Level (D, C) is a pure
+function of its two inputs, levels (D, C-1) and (D-1, C).  If level
+(D, C-1) equals level (D, C-2) and level (D-1, C) equals level
+(D-1, C-1), then level (D, C) has the same inputs as level (D, C-1) and
+so equals it: the sweep copies it and skips the convolution.  A boolean
+``same[D, C]`` records which levels equal their predecessor, set by the
+copy rule or, for a computed level, by comparing it with level (D, C-1).
+The rule compares float arrays exactly and never approximates, so the
+table is bit-identical to the full sweep (``tests/test_autogen_dp.py``
+keeps that sweep as its reference).  Levels stop changing once the
+contention budget exceeds what trees of that depth can use.  At the
+default caps the rule copies 89% of the levels at ``P = 64``, 92% at
+192, 95% at 512 and 96% at 1024, out of 93%, 95%, 96.5% and 97% that
+equal their predecessor.  On an idle 2-core x86_64 host the build takes
+about 6 ms at ``P = 64`` (40 ms as a full sweep), 30 ms at 192 (0.83 s),
+0.3 s at 512 and 1.7 s at 1024; host load can double these.
 """
 
 from __future__ import annotations
@@ -88,32 +104,40 @@ def autogen_tables(
     if d_max < 1 or c_max < 1:
         raise ValueError("d_max and c_max must be >= 1")
 
-    inf = np.inf
-    e = np.full((d_max + 1, c_max + 1, p_max + 1), inf, dtype=np.float64)
+    e = np.full((d_max + 1, c_max + 1, p_max + 1), np.inf, dtype=np.float64)
     e[:, :, 1] = 0.0  # single PE: nothing to do at any (d, c)
     if p_max == 1:
         return e
 
-    # Toeplitz gather indices: row p, column i -> p - i, clipped; entries
-    # with i >= p are masked to inf via the window matrix below.
+    # Toeplitz gather indices: row p, column i -> p - i.  Entries with
+    # i >= p are clipped to column 0, and E[., ., 0] stays inf (no tree has
+    # zero PEs), so those candidates are inf without a mask.
     p_idx = np.arange(p_max + 1)
-    i_idx = np.arange(p_max + 1)
-    gather = p_idx[:, None] - i_idx[None, :]
-    invalid = gather < 1  # needs p - i >= 1, i.e. i <= p - 1
-    gather = np.clip(gather, 0, p_max)
-    i_cost = i_idx.astype(np.float64)  # the +i hop term of the last message
+    gather = np.clip(p_idx[:, None] - p_idx[None, :], 0, p_max)
+    i_cost = p_idx.astype(np.float64)  # the +i hop term of the last message
 
+    # same[d, c]: level (d, c) equals level (d, c-1).  Depth 0 is all-inf
+    # beyond p = 1 at every contention.  Column 0 is never marked, so
+    # level (d, 1) is always computed.
+    same = np.zeros((d_max + 1, c_max + 1), dtype=bool)
+    same[0, 1:] = True
     for d in range(1, d_max + 1):
         below = e[d - 1]  # (c, p) slice at depth d-1
         level = e[d]
         for c in range(1, c_max + 1):
+            if same[d, c - 1] and same[d - 1, c]:
+                # Both inputs equal those of level (d, c-1): copy it.
+                level[c] = level[c - 1]
+                same[d, c] = True
+                continue
             left = level[c - 1]  # E(i, d, c-1), same depth, one less msg
             right = below[c]  # E(p-i, d-1, c)
-            # cand[p, i] = left[i] + i + right[p - i]
-            cand = left[None, :] + i_cost[None, :] + right[gather]
-            cand[invalid] = inf
+            # cand[p, i] = right[p - i] + (left[i] + i), built in place
+            cand = right.take(gather)
+            cand += left + i_cost
             # i = 0 contributes left[0] = inf already; min over i per p.
             level[c] = np.minimum(level[c], cand.min(axis=1))
+            same[d, c] = np.array_equal(level[c], level[c - 1])
     return e
 
 

@@ -122,14 +122,20 @@ class ReductionTree:
         the order in which streams cross any given router, and therefore
         the order of that router's configuration sequence.
         """
+        # Iterative: a chain is p - 1 levels deep, past Python's recursion
+        # limit at paper scale.  Each stack entry is (vertex, next child).
         order: List[Message] = []
-
-        def visit(v: int) -> None:
-            for c in self.children[v]:
-                visit(c)
-                order.append(Message(src=c, dst=v))
-
-        visit(0)
+        stack = [(0, 0)]
+        while stack:
+            v, k = stack[-1]
+            kids = self.children[v]
+            if k < len(kids):
+                stack[-1] = (v, k + 1)
+                stack.append((kids[k], 0))
+                continue
+            stack.pop()
+            if stack:
+                order.append(Message(src=v, dst=stack[-1][0]))
         return order
 
     # -- validation -----------------------------------------------------------
@@ -232,6 +238,7 @@ def binomial_tree(p: int) -> ReductionTree:
     """
     tree = ReductionTree(p=p)
 
+    # Recursion depth is the tree depth, ceil(log2 p): safe at any scale.
     def build(base: int, size: int) -> None:
         offset = 1
         while offset < size:
@@ -306,6 +313,9 @@ def autogen_tree(
 
     table = autogen_tables(p, d_max, c_max)
 
+    # Each call lowers d or c by one, so recursion depth is at most d + c:
+    # about 8 sqrt(p) at the default caps.  Uncapped tables deep enough to
+    # reach the recursion limit would not fit in memory.
     def split(base: int, size: int, d: int, c: int) -> None:
         """Attach the subtree structure for PEs [base, base+size)."""
         if size == 1:

@@ -1,5 +1,7 @@
 """Unit tests for the Auto-Gen energy DP (Section 5.5)."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -116,3 +118,77 @@ class TestCaps:
             autogen_tables(0)
         with pytest.raises(ValueError):
             autogen_best_params(4, 0)
+
+
+@lru_cache(maxsize=None)
+def reference_tables(p_max, d_max=None, c_max=None):
+    """The unskipped sweep: every (d, c) level by its min-plus, no copies."""
+    d_max = default_cap(p_max) if d_max is None else d_max
+    c_max = default_cap(p_max) if c_max is None else c_max
+    inf = np.inf
+    e = np.full((d_max + 1, c_max + 1, p_max + 1), inf, dtype=np.float64)
+    e[:, :, 1] = 0.0  # single PE: nothing to do at any (d, c)
+    if p_max == 1:
+        return e
+
+    # Toeplitz gather indices: row p, column i -> p - i, clipped; entries
+    # with i >= p are masked to inf via the window matrix below.
+    p_idx = np.arange(p_max + 1)
+    i_idx = np.arange(p_max + 1)
+    gather = p_idx[:, None] - i_idx[None, :]
+    invalid = gather < 1  # needs p - i >= 1, i.e. i <= p - 1
+    gather = np.clip(gather, 0, p_max)
+    i_cost = i_idx.astype(np.float64)  # the +i hop term of the last message
+
+    for d in range(1, d_max + 1):
+        below = e[d - 1]  # (c, p) slice at depth d-1
+        level = e[d]
+        for c in range(1, c_max + 1):
+            left = level[c - 1]  # E(i, d, c-1), same depth, one less msg
+            right = below[c]  # E(p-i, d-1, c)
+            # cand[p, i] = left[i] + i + right[p - i]
+            cand = left[None, :] + i_cost[None, :] + right[gather]
+            cand[invalid] = inf
+            # i = 0 contributes left[0] = inf already; min over i per p.
+            level[c] = np.minimum(level[c], cand.min(axis=1))
+    return e
+
+
+class TestLevelCopies:
+    """Copied levels leave the table bit-identical to the full sweep."""
+
+    @pytest.mark.parametrize("p", range(2, 65))
+    def test_default_caps(self, p):
+        assert np.array_equal(autogen_tables(p), reference_tables(p))
+
+    @pytest.mark.parametrize(
+        "p, d_max, c_max",
+        [
+            (24, 5, 17),
+            (24, 17, 5),
+            (40, 1, 39),
+            (40, 39, 1),
+            (16, 1, 1),
+            (16, 40, 40),
+            (33, 2 * default_cap(33), default_cap(33) + 3),
+        ],
+    )
+    def test_explicit_caps(self, p, d_max, c_max):
+        assert np.array_equal(
+            autogen_tables(p, d_max, c_max), reference_tables(p, d_max, c_max)
+        )
+
+    @pytest.mark.parametrize("p", [96, 128, 192])
+    def test_default_caps_large(self, p):
+        assert np.array_equal(autogen_tables(p), reference_tables(p))
+
+    def test_autogen_trees_unchanged(self, monkeypatch):
+        # plan_cold's 1D grid: P x B as the perf workload plans them.
+        from repro.autogen import dp, tree
+
+        grid = [(p, b) for p in (16, 32, 64, 96, 128, 192) for b in (16, 256, 4096)]
+        new = {pb: tree.autogen_tree(*pb)[0].children for pb in grid}
+        monkeypatch.setattr(dp, "autogen_tables", reference_tables)
+        monkeypatch.setattr(tree, "autogen_tables", reference_tables)
+        for pb in grid:
+            assert tree.autogen_tree(*pb)[0].children == new[pb], pb

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autogen.tree import (
+    Message,
     ReductionTree,
     autogen_tree,
     binomial_tree,
@@ -11,6 +12,8 @@ from repro.autogen.tree import (
     star_tree,
     two_phase_tree,
 )
+from repro.collectives import build_schedule
+from repro.fabric.geometry import Grid
 
 
 class TestStructuralQueries:
@@ -160,3 +163,38 @@ class TestAutogenReconstruction:
         tree, _ = autogen_tree(8, 16)
         s = tree.describe()
         assert "p=8" in s and "depth=" in s
+
+
+def recursive_post_order(tree):
+    """Reference traversal: post-order, children left to right."""
+    order = []
+
+    def visit(v):
+        for c in tree.children[v]:
+            visit(c)
+            order.append(Message(src=c, dst=v))
+
+    visit(0)
+    return order
+
+
+class TestDeepTrees:
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 8, 13, 16, 31, 64])
+    def test_post_order_matches_recursive_reference(self, p):
+        trees = [star_tree(p), chain_tree(p), binomial_tree(p), two_phase_tree(p)]
+        trees += [autogen_tree(p, b)[0] for b in (1, 16, 256, 4096)]
+        for tree in trees:
+            assert tree.message_post_order() == recursive_post_order(tree)
+
+    @pytest.mark.parametrize(
+        "kind, rows, cols, algorithm",
+        [
+            ("reduce", 1, 2048, "chain"),
+            ("allreduce", 1, 2048, "chain"),
+            ("reduce", 64, 64, "snake"),
+        ],
+    )
+    def test_build_schedule_past_recursion_limit(self, kind, rows, cols, algorithm):
+        # Trees here are thousands of levels deep; no DP is involved.
+        schedule = build_schedule(kind, Grid(rows, cols), algorithm, 256)
+        assert schedule.grid.size == rows * cols
