@@ -61,7 +61,20 @@ def fixed_tree_candidates(p: int) -> Dict[str, ReductionTree]:
 def best_reduce_tree(
     p: int, b: int, params: MachineParams = CS2
 ) -> BestTree:
-    """Best pre-order reduction tree for ``(P, B)`` under Equation (1)."""
+    """Best pre-order reduction tree for ``(P, B)`` under Equation (1).
+
+    Memoized per ``(p, b, params)``, however the arguments are passed:
+    ranking, prediction and the row and column phases of one plan all
+    ask for the same few ``(P, B)``, so each is searched once
+    (``best_reduce_tree.cache_info()`` counts the searches).  Callers
+    share the returned tree and must treat it as read-only, as with
+    :func:`fixed_tree_candidates`.
+    """
+    return _best_reduce_tree(p, b, params)
+
+
+@lru_cache(maxsize=128)
+def _best_reduce_tree(p: int, b: int, params: MachineParams) -> BestTree:
     if p < 1 or b < 1:
         raise ValueError("p and b must be >= 1")
     if p == 1:
@@ -73,6 +86,10 @@ def best_reduce_tree(
         if t < best.time:
             best = BestTree(tree=tree, time=t, source=name)
     return best
+
+
+best_reduce_tree.cache_info = _best_reduce_tree.cache_info
+best_reduce_tree.cache_clear = _best_reduce_tree.cache_clear
 
 
 def autogen_hybrid_time(p: int, b: int, params: MachineParams = CS2) -> float:

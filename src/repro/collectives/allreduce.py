@@ -14,14 +14,14 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 from ..fabric.geometry import Grid
-from ..fabric.ir import Schedule, merge_parallel, merge_sequential
+from ..fabric.ir import Schedule, merge_phases, stamp_parallel
 from ..model.params import CS2, MachineParams
-from .broadcast import broadcast_2d_schedule, broadcast_lane_schedule
+from .broadcast import broadcast_2d_phase, broadcast_lane_schedule
 from .lanes import col_lane, row_lane
 from .reduce import reduce_tree_for
 from .ring import ring_allreduce_schedule
 from .tree_schedule import schedule_tree_reduce
-from .xy import snake_reduce_schedule, xy_reduce_schedule
+from .xy import snake_reduce_schedule, xy_reduce_phases
 
 __all__ = [
     "allreduce_lane_schedule",
@@ -39,11 +39,13 @@ def allreduce_lane_schedule(
     colors: Tuple[int, int, int] = (0, 1, 2),
     params: MachineParams = CS2,
     name: str | None = None,
+    validate: bool = True,
 ) -> Schedule:
     """AllReduce along one lane: tree Reduce + flooding Broadcast, or Ring.
 
     ``colors`` are (reduce color A, reduce color B, broadcast color); the
-    Ring uses all three as its edge palette.
+    Ring uses all three as its edge palette.  ``validate=False`` leaves
+    the check to a caller composing this schedule into a larger one.
     """
     label = name or f"allreduce-{pattern}"
     if len(lane) == 1:
@@ -52,7 +54,7 @@ def allreduce_lane_schedule(
         return sched
     if pattern == "ring":
         return ring_allreduce_schedule(
-            grid, b, lane=lane, palette=colors, name=label
+            grid, b, lane=lane, palette=colors, name=label, validate=validate
         )
     tree = reduce_tree_for(pattern, len(lane), b, params)
     reduce_phase = schedule_tree_reduce(
@@ -65,10 +67,11 @@ def allreduce_lane_schedule(
         validate=False,
     )
     bcast_phase = broadcast_lane_schedule(
-        grid, lane, b, color=colors[2], name=f"{label}/bcast"
+        grid, lane, b, color=colors[2], name=f"{label}/bcast", validate=False
     )
-    merged = merge_sequential(reduce_phase, bcast_phase, name=label)
-    merged.validate()
+    merged = merge_phases((reduce_phase, bcast_phase), name=label)
+    if validate:
+        merged.validate()
     return merged
 
 
@@ -105,29 +108,26 @@ def xy_allreduce_schedule(
     """
     if set(row_colors) & set(col_colors):
         raise ValueError("row and column phases must use disjoint colors")
-    rows = merge_parallel(
-        [
-            allreduce_lane_schedule(
-                grid, row_lane(grid, r), pattern, b,
-                colors=row_colors, params=params,
-                name=f"xy-allreduce-row{r}",
-            )
-            for r in range(grid.rows)
-        ],
+    # Every row (column) runs row 0's (column 0's) lane AllReduce shifted
+    # by row * cols (col) PEs: build it once and stamp it.
+    row0 = allreduce_lane_schedule(
+        grid, row_lane(grid, 0), pattern, b,
+        colors=row_colors, params=params,
+        name="xy-allreduce-row0", validate=False,
+    )
+    rows = stamp_parallel(
+        row0, [r * grid.cols for r in range(grid.rows)],
         name=f"xy-allreduce-rows-{pattern}",
     )
-    cols = merge_parallel(
-        [
-            allreduce_lane_schedule(
-                grid, col_lane(grid, c), pattern, b,
-                colors=col_colors, params=params,
-                name=f"xy-allreduce-col{c}",
-            )
-            for c in range(grid.cols)
-        ],
-        name=f"xy-allreduce-cols-{pattern}",
+    col0 = allreduce_lane_schedule(
+        grid, col_lane(grid, 0), pattern, b,
+        colors=col_colors, params=params,
+        name="xy-allreduce-col0", validate=False,
     )
-    merged = merge_sequential(rows, cols, name=f"xy-allreduce-{pattern}")
+    cols = stamp_parallel(
+        col0, range(grid.cols), name=f"xy-allreduce-cols-{pattern}"
+    )
+    merged = merge_phases((rows, cols), name=f"xy-allreduce-{pattern}")
     merged.validate()
     return merged
 
@@ -146,14 +146,18 @@ def allreduce_2d_schedule(
     paper's 2D implementations.
     """
     if pattern == "snake":
-        reduce_phase = snake_reduce_schedule(grid, b, colors=(0, 1), params=params)
+        reduce_phases = (
+            snake_reduce_schedule(
+                grid, b, colors=(0, 1), params=params, validate=False
+            ),
+        )
     else:
-        reduce_phase = xy_reduce_schedule(
+        reduce_phases = xy_reduce_phases(
             grid, pattern, b, row_colors=(0, 1), col_colors=(2, 3), params=params
         )
-    bcast_phase = broadcast_2d_schedule(grid, b, color=bcast_color)
-    merged = merge_sequential(
-        reduce_phase, bcast_phase, name=f"allreduce-2d-{pattern}"
+    bcast_phase = broadcast_2d_phase(grid, b, color=bcast_color)
+    merged = merge_phases(
+        (*reduce_phases, bcast_phase), name=f"allreduce-2d-{pattern}"
     )
     merged.validate()
     return merged

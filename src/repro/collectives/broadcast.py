@@ -7,13 +7,18 @@ processor and onward.  Depth 1, energy ``B (P-1)``, contention ``B``.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..fabric.geometry import Grid, Port
-from ..fabric.ir import Recv, RouterRule, Schedule, Send
+from ..fabric.ir import PEProgram, Recv, RouterRule, Schedule, Send, merge_phases
 from .lanes import validate_lane
 
-__all__ = ["broadcast_lane_schedule", "broadcast_row_schedule", "broadcast_2d_schedule"]
+__all__ = [
+    "broadcast_lane_schedule",
+    "broadcast_row_schedule",
+    "broadcast_2d_phase",
+    "broadcast_2d_schedule",
+]
 
 
 def broadcast_lane_schedule(
@@ -23,11 +28,14 @@ def broadcast_lane_schedule(
     color: int = 0,
     name: str = "broadcast",
     buffer_size: int | None = None,
+    validate: bool = True,
 ) -> Schedule:
     """Flood ``lane[0]``'s vector to every PE on the lane.
 
     Each intermediate router forwards the stream both up its ramp and
     onward along the lane (Figure 4's pipelined multicast).
+    ``validate=False`` skips the final :meth:`Schedule.validate` for
+    callers that validate the schedule they compose this into.
     """
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
@@ -60,7 +68,8 @@ def broadcast_lane_schedule(
         prog = schedule.program(pe)
         prog.router[color] = [RouterRule(accept=inbound, forward=forward, count=b)]
         prog.ops.append(Recv(color=color, length=b, combine=False))
-    schedule.validate()
+    if validate:
+        schedule.validate()
     return schedule
 
 
@@ -82,18 +91,18 @@ def broadcast_row_schedule(
     return broadcast_lane_schedule(grid, lane, b, color=color, name=name)
 
 
-def broadcast_2d_schedule(
+def broadcast_2d_phase(
     grid: Grid,
     b: int,
     color: int = 0,
     name: str = "broadcast-2d",
     buffer_size: int | None = None,
 ) -> Schedule:
-    """2D broadcast from corner (0, 0) (Lemma 7.1).
+    """The 2D broadcast as a phase for :func:`~repro.fabric.ir.merge_phases`.
 
-    The stream floods east along row 0 while every row-0 router also
-    multicasts it south; other routers forward south and up their ramp.
-    One stream, depth 1, distance ``M + N - 2``.
+    A PE's program depends only on its role (root, row 0, inner rows, the
+    last column or row), so PEs with the same role share one
+    :class:`PEProgram`; merging gives every PE its own copy.
     """
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
@@ -106,10 +115,11 @@ def broadcast_2d_schedule(
     if grid.size == 1:
         schedule.program(root)
         return schedule
+    shared: Dict[Tuple[int, Tuple[int, ...]], PEProgram] = {}
+    programs = schedule.programs
     for row in range(grid.rows):
         for col in range(grid.cols):
             pe = grid.index(row, col)
-            prog = schedule.program(pe)
             forward: list[int] = []
             if row == 0:
                 accept = Port.RAMP if col == 0 else Port.WEST
@@ -123,11 +133,33 @@ def broadcast_2d_schedule(
                     forward.append(Port.SOUTH)
             if pe != root:
                 forward.append(Port.RAMP)
-                prog.ops.append(Recv(color=color, length=b, combine=False))
-            else:
-                prog.ops.append(Send(color=color, length=b))
-            prog.router[color] = [
-                RouterRule(accept=accept, forward=tuple(forward), count=b)
-            ]
+            key = (accept, tuple(forward))
+            prog = shared.get(key)
+            if prog is None:
+                op = (
+                    Recv(color=color, length=b, combine=False)
+                    if pe != root else Send(color=color, length=b)
+                )
+                rule = RouterRule(accept=accept, forward=key[1], count=b)
+                prog = shared[key] = PEProgram(router={color: [rule]}, ops=[op])
+            programs[pe] = prog
+    return schedule
+
+
+def broadcast_2d_schedule(
+    grid: Grid,
+    b: int,
+    color: int = 0,
+    name: str = "broadcast-2d",
+    buffer_size: int | None = None,
+) -> Schedule:
+    """2D broadcast from corner (0, 0) (Lemma 7.1).
+
+    The stream floods east along row 0 while every row-0 router also
+    multicasts it south; other routers forward south and up their ramp.
+    One stream, depth 1, distance ``M + N - 2``.
+    """
+    phase = broadcast_2d_phase(grid, b, color, name, buffer_size)
+    schedule = merge_phases((phase,), name)
     schedule.validate()
     return schedule

@@ -94,6 +94,7 @@ def ring_allreduce_schedule(
     palette: Sequence[int] = (0, 1, 2, 3, 4, 5),
     name: str | None = None,
     lane: Sequence[int] | None = None,
+    validate: bool = True,
 ) -> Schedule:
     """Ring AllReduce over one grid row (or an explicit ``lane``); every
     participating PE ends with the full sum.
@@ -183,5 +184,6 @@ def ring_allreduce_schedule(
                     combine=False,
                 )
             )
-    schedule.validate()
+    if validate:
+        schedule.validate()
     return schedule

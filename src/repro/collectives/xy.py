@@ -4,7 +4,11 @@
   PE (all rows concurrently, disjoint PEs), then column 0 runs a 1D
   Reduce to the corner (0, 0).  Any 1D pattern can be used for both
   phases; the phases synchronize by dataflow (a row root only has its
-  column contribution once its row is done), not by a barrier.
+  column contribution once its row is done), not by a barrier.  Every
+  row's program is row 0's shifted by ``row * cols`` PEs, so row 0's
+  schedule is built once and stamped onto the other rows
+  (:func:`~repro.fabric.ir.stamp_parallel`); the phases are merged in
+  one pass and the final schedule is validated once.
 * **Snake Reduce** (Figure 9b): the Chain pipeline threaded through the
   whole grid boustrophedon — optimal when ``B`` dominates ``P``.
 """
@@ -14,14 +18,57 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..fabric.geometry import Grid
-from ..fabric.ir import Schedule, merge_parallel, merge_sequential
+from ..fabric.ir import Schedule, merge_phases, stamp_parallel
 from ..model.params import CS2, MachineParams
 from .lanes import col_lane, row_lane, snake_lane
 from .reduce import reduce_tree_for
 from .tree_schedule import schedule_tree_reduce
 from .trees import chain_tree
 
-__all__ = ["xy_reduce_schedule", "snake_reduce_schedule"]
+__all__ = ["xy_reduce_phases", "xy_reduce_schedule", "snake_reduce_schedule"]
+
+
+def xy_reduce_phases(
+    grid: Grid,
+    pattern: str,
+    b: int,
+    row_colors: Tuple[int, int] = (0, 1),
+    col_colors: Tuple[int, int] = (2, 3),
+    params: MachineParams = CS2,
+) -> Tuple[Schedule, Schedule]:
+    """The unvalidated row and column phases of the X-Y Reduce."""
+    if set(row_colors) & set(col_colors):
+        raise ValueError("row and column phases must use disjoint colors")
+
+    # Row phase: row 0's 1D Reduce, stamped onto every row.
+    row_tree = reduce_tree_for(pattern, grid.cols, b, params)
+    row0 = schedule_tree_reduce(
+        grid,
+        row_tree,
+        row_lane(grid, 0),
+        b,
+        colors=row_colors,
+        name=f"xy-row-{pattern}",
+        validate=False,
+    )
+    rows = stamp_parallel(
+        row0,
+        [row * grid.cols for row in range(grid.rows)],
+        name=f"xy-rows-{pattern}",
+    )
+
+    # Column phase along column 0.
+    col_tree = reduce_tree_for(pattern, grid.rows, b, params)
+    cols = schedule_tree_reduce(
+        grid,
+        col_tree,
+        col_lane(grid, 0),
+        b,
+        colors=col_colors,
+        name=f"xy-col-{pattern}",
+        validate=False,
+    )
+    return rows, cols
 
 
 def xy_reduce_schedule(
@@ -38,37 +85,8 @@ def xy_reduce_schedule(
     they must be disjoint because a row root keeps routing late row
     traffic while its column message is already in flight.
     """
-    if set(row_colors) & set(col_colors):
-        raise ValueError("row and column phases must use disjoint colors")
-
-    # Row phase: the same tree shape for every row.
-    row_tree = reduce_tree_for(pattern, grid.cols, b, params)
-    row_schedules = [
-        schedule_tree_reduce(
-            grid,
-            row_tree,
-            row_lane(grid, row),
-            b,
-            colors=row_colors,
-            name=f"xy-row-{pattern}",
-            validate=False,
-        )
-        for row in range(grid.rows)
-    ]
-    rows = merge_parallel(row_schedules, name=f"xy-rows-{pattern}")
-
-    # Column phase along column 0.
-    col_tree = reduce_tree_for(pattern, grid.rows, b, params)
-    cols = schedule_tree_reduce(
-        grid,
-        col_tree,
-        col_lane(grid, 0),
-        b,
-        colors=col_colors,
-        name=f"xy-col-{pattern}",
-        validate=False,
-    )
-    merged = merge_sequential(rows, cols, name=f"xy-reduce-{pattern}")
+    phases = xy_reduce_phases(grid, pattern, b, row_colors, col_colors, params)
+    merged = merge_phases(phases, name=f"xy-reduce-{pattern}")
     merged.validate()
     return merged
 
@@ -78,6 +96,7 @@ def snake_reduce_schedule(
     b: int,
     colors: Tuple[int, int] = (0, 1),
     params: MachineParams = CS2,
+    validate: bool = True,
 ) -> Schedule:
     """Snake Reduce: one Chain pipeline over the boustrophedon lane."""
     lane = snake_lane(grid)
@@ -89,4 +108,5 @@ def snake_reduce_schedule(
         b,
         colors=colors,
         name="snake-reduce",
+        validate=validate,
     )

@@ -144,13 +144,18 @@ def _plan_uncached(spec: CollectiveSpec) -> Plan:
     why = entry.why_infeasible(resolved)
     if why is not None:
         raise ValueError(why)
+    # A ranking already predicted every feasible candidate, this one too.
+    predicted = (
+        choice.candidates[name] if choice is not None
+        else entry.predict(resolved)
+    )
     return Plan(
         spec=spec,
         schedule=entry.build(resolved),
         algorithm=name,
         grid=spec.grid,
         b=spec.b,
-        predicted_cycles=entry.predict(resolved),
+        predicted_cycles=predicted,
         choice=choice,
     )
 

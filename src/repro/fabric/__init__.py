@@ -23,7 +23,9 @@ from .ir import (
     Send,
     SendRecv,
     merge_parallel,
+    merge_phases,
     merge_sequential,
+    stamp_parallel,
 )
 from .trace import Tracer, link_utilization, render_timeline
 from .simulator import (
@@ -51,7 +53,9 @@ __all__ = [
     "Send",
     "SendRecv",
     "merge_parallel",
+    "merge_phases",
     "merge_sequential",
+    "stamp_parallel",
     "CollisionError",
     "DeadlockError",
     "FabricSimulator",

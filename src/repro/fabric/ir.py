@@ -16,8 +16,10 @@ because a control wavelet rides the tail of the stream it terminates.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +39,9 @@ __all__ = [
     "ScheduleArrays",
     "lower_arrays",
     "merge_sequential",
+    "merge_phases",
     "merge_parallel",
+    "stamp_parallel",
 ]
 
 
@@ -206,6 +210,9 @@ class SampleClock:
 
 Op = object  # informal union of the op dataclasses above
 
+#: op attributes :meth:`Schedule.colors_used` reads colors from.
+_OP_COLOR_ATTRS = ("color", "in_color", "out_color")
+
 
 @dataclass
 class PEProgram:
@@ -247,7 +254,7 @@ class Schedule:
         for prog in self.programs.values():
             colors.update(prog.router.keys())
             for op in prog.ops:
-                for attr in ("color", "in_color", "out_color"):
+                for attr in _OP_COLOR_ATTRS:
                     c = getattr(op, attr, None)
                     if c is not None:
                         colors.add(c)
@@ -541,9 +548,9 @@ def lower_arrays(schedule: Schedule) -> ScheduleArrays:
 def merge_parallel(schedules: Sequence["Schedule"], name: str) -> Schedule:
     """Union of schedules running concurrently on disjoint PE sets.
 
-    Used to combine the per-row phases of the X-Y collectives: each row's
-    1D schedule touches only its own PEs, so the union is conflict-free by
-    construction (asserted here).
+    Each input touches only its own PEs, so the union is conflict-free by
+    construction (asserted here).  Copies of one schedule at PE offsets,
+    as in the X-Y collectives, are cheaper with :func:`stamp_parallel`.
     """
     if not schedules:
         raise ValueError("nothing to merge")
@@ -566,30 +573,146 @@ def merge_parallel(schedules: Sequence["Schedule"], name: str) -> Schedule:
     return merged
 
 
-def merge_sequential(first: Schedule, second: Schedule, name: str) -> Schedule:
-    """Concatenate two schedules phase-wise on the same grid.
+def stamp_parallel(
+    schedule: Schedule, offsets: Sequence[int], name: str
+) -> Schedule:
+    """Copies of ``schedule`` shifted by each PE offset, run concurrently.
 
-    The phases must use disjoint colors; each PE's ops run first-phase then
-    second-phase, and the router rule lists are concatenated per color.
-    Dataflow (counted rules + op order) provides the inter-phase
-    synchronization, exactly as on the device — there is no global barrier.
+    The per-row (or per-column) phases of the X-Y collectives are one 1D
+    schedule repeated at PE offsets ``row * cols`` (or ``col``): the
+    router ports and processor ops are relative, so only the PE indices
+    move.  The result equals :func:`merge_parallel` over the shifted
+    copies, built without building them.  Copies share their
+    :class:`PEProgram` objects, so the result is a phase to hand to
+    :func:`merge_phases` (which gives every PE its own program), not a
+    schedule to extend in place.
     """
-    if first.grid != second.grid:
-        raise ValueError("cannot merge schedules on different grids")
-    overlap = set(first.colors_used()) & set(second.colors_used())
-    if overlap:
-        raise ValueError(f"phases share colors {sorted(overlap)}")
+    grid = schedule.grid
+    stamped = Schedule(grid=grid, buffer_size=schedule.buffer_size, name=name)
+    if not offsets or not schedule.programs:
+        return stamped
+    lo = min(schedule.programs) + min(offsets)
+    hi = max(schedule.programs) + max(offsets)
+    if lo < 0 or hi >= grid.size:
+        raise IndexError(f"stamped PEs [{lo}, {hi}] outside grid of {grid.size}")
+    programs = stamped.programs
+    for offset in offsets:
+        for pe, prog in schedule.programs.items():
+            programs[pe + offset] = prog
+    if len(programs) != len(schedule.programs) * len(offsets):
+        raise ValueError(
+            "stamped copies overlap; use merge_sequential for phased "
+            "composition"
+        )
+    return stamped
+
+
+def merge_phases(phases: Sequence[Schedule], name: str) -> Schedule:
+    """Concatenate schedules phase-wise on the same grid, in one pass.
+
+    The phases must use disjoint colors; each PE's ops run in phase order,
+    and the router rule lists are concatenated per color.  Dataflow
+    (counted rules + op order) provides the inter-phase synchronization,
+    exactly as on the device — there is no global barrier.
+
+    Every PE of the result gets its own :class:`PEProgram`; rules and ops
+    are shared with the phases.  Phases may share one program among many
+    PEs (:func:`stamp_parallel`, the 2D broadcast): each distinct
+    combination of phase programs is concatenated, and scanned for the
+    colors its phases use, once, then copied to every PE that has it.
+    The result is not validated: composers build their phases unvalidated
+    and call :meth:`Schedule.validate` once, on the final schedule.
+    """
+    if not phases:
+        raise ValueError("nothing to merge")
+    grid = phases[0].grid
+    for phase in phases[1:]:
+        if phase.grid != grid:
+            raise ValueError("cannot merge schedules on different grids")
+    pes = set(phases[0].programs)
+    for phase in phases[1:]:
+        pes = pes | set(phase.programs)
     merged = Schedule(
-        grid=first.grid,
-        buffer_size=max(first.buffer_size, second.buffer_size),
+        grid=grid,
+        buffer_size=max(phase.buffer_size for phase in phases),
         name=name,
     )
-    for pe in set(first.programs) | set(second.programs):
-        prog = merged.program(pe)
-        for source in (first.programs.get(pe), second.programs.get(pe)):
-            if source is None:
-                continue
-            for color, rules in source.router.items():
-                prog.router.setdefault(color, []).extend(rules)
-            prog.ops.extend(source.ops)
+    order = list(pes)
+    # Column per phase: its program (or None) at each PE of ``order``.
+    columns = [[phase.programs.get(pe) for pe in order] for phase in phases]
+    used: List[set] = [set() for _ in phases]
+    #: ids of one PE's phase programs -> their concatenated router colors,
+    #: rule lists and ops.
+    concatenated: Dict[tuple, tuple] = {}
+    programs = merged.programs
+    with _collector_paused():
+        for pe, progs in zip(order, zip(*columns)):
+            key = tuple(map(id, progs))
+            entry = concatenated.get(key)
+            if entry is None:
+                entry = concatenated[key] = _concatenate(progs, used)
+            colors, rule_lists, ops = entry
+            programs[pe] = PEProgram(
+                router=dict(zip(colors, map(list, rule_lists))), ops=ops[:]
+            )
+    seen: set = set()
+    for colors in used:
+        overlap = seen & colors
+        if overlap:
+            raise ValueError(f"phases share colors {sorted(overlap)}")
+        seen |= colors
     return merged
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector while a schedule is allocated.
+
+    A 512×512 schedule allocates about 1.6M containers (per PE a
+    :class:`PEProgram`, its router dict and lists and its ops list), and
+    the heap's growth keeps triggering full collections over all of it:
+    with the collector running, the merge takes about 2.5 times as long.
+    Nothing allocated here forms a cycle, so pausing frees nothing late.
+    A collector that was already off is left off.  The switch is
+    process-wide; another thread that finds it paused only collects
+    later.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _concatenate(progs: Sequence[Optional[PEProgram]], used: Sequence[set]) -> tuple:
+    """One PE's phase programs run in order: ``(colors, rule lists, ops)``.
+
+    Adds the colors each phase's program uses to that phase's ``used``.
+    """
+    router: Dict[int, List[RouterRule]] = {}
+    ops: List[Op] = []
+    for prog, colors in zip(progs, used):
+        if prog is None:
+            continue
+        for color, rules in prog.router.items():
+            colors.add(color)
+            router.setdefault(color, []).extend(rules)
+        for op in prog.ops:
+            for attr in _OP_COLOR_ATTRS:
+                c = getattr(op, attr, None)
+                if c is not None:
+                    colors.add(c)
+        ops.extend(prog.ops)
+    return tuple(router), tuple(router.values()), ops
+
+
+def merge_sequential(first: Schedule, second: Schedule, name: str) -> Schedule:
+    """Concatenate two schedules phase-wise: :func:`merge_phases` of two.
+
+    One pass over the PEs, colors collected on the way; the caller
+    validates the final schedule.
+    """
+    return merge_phases((first, second), name)

@@ -395,17 +395,25 @@ def _run(schedule: Schedule, inputs: Dict[int, np.ndarray],
         if pe in buffers:
             buffers[pe][:len(vec)] = vec
     processes, channels = _network(schedule, buffers, ufunc)
-    ready = deque(processes)
-    while ready:
-        process = ready.popleft()
-        process.queued = False
-        process.run(ready)
-    stuck = [p for p in processes
-             if isinstance(p, _Processor) and p.op < len(p.steps)]
-    if stuck or any(c.segs for c in channels.values()):
-        raise ValuesRefused(
-            "no_progress",
-            f"{len(stuck)} processor(s) unfinished in {schedule.name!r}")
+    try:
+        ready = deque(processes)
+        while ready:
+            process = ready.popleft()
+            process.queued = False
+            process.run(ready)
+        stuck = [p for p in processes
+                 if isinstance(p, _Processor) and p.op < len(p.steps)]
+        if stuck or any(c.segs for c in channels.values()):
+            raise ValuesRefused(
+                "no_progress",
+                f"{len(stuck)} processor(s) unfinished in {schedule.name!r}")
+    finally:
+        # A channel and its reader refer to each other.  Unlinking them
+        # lets reference counting free the processes, and the per-PE
+        # buffers they hold, as soon as the pass returns instead of at
+        # the next cyclic collection.
+        for c in channels.values():
+            c.reader = None
     return buffers
 
 

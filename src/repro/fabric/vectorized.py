@@ -42,7 +42,7 @@ of each other.  ``REPRO_SIM_STRIDE=0`` disables the stride path
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -1167,6 +1167,18 @@ class VectorizedSimulator:
 
     def _stride_apply(self, t: int, K: int) -> bool:
         """Apply K repeats of this cycle's actions as bulk array ops."""
+        nodes: List[dict] = []
+        try:
+            return self._stride_flow(t, K, nodes)
+        finally:
+            # Nodes, their queues and their closures refer to one another.
+            # Clearing the nodes lets reference counting free the queues'
+            # value arrays now instead of at the next cyclic collection.
+            for node in nodes:
+                node.clear()
+
+    def _stride_flow(self, t: int, K: int, nodes: List[dict]) -> bool:
+        """:meth:`_stride_apply`'s flow graph; appends its nodes to ``nodes``."""
         if not self._flow_balanced():
             return False
         TR, C, cap = self.TR, self.C, self.cap
@@ -1206,7 +1218,6 @@ class VectorizedSimulator:
 
         # Nodes: (process(lo, hi), in_queue or None).  Builders below
         # also validate stride-ineligible details and may abort.
-        nodes = []
 
         def add_node(fn, in_q, out_qs):
             node = {"fn": fn, "in": in_q, "outs": out_qs, "done": 0}

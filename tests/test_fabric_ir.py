@@ -1,5 +1,7 @@
 """Unit tests for the schedule IR: rules, ops, validation, merging."""
 
+import gc
+
 import pytest
 
 from repro.fabric.geometry import Grid, Port
@@ -11,7 +13,9 @@ from repro.fabric.ir import (
     Send,
     SendRecv,
     merge_parallel,
+    merge_phases,
     merge_sequential,
+    stamp_parallel,
 )
 
 
@@ -153,3 +157,50 @@ class TestMerging:
         b = self._mini(2, 1)
         b.buffer_size = 64
         assert merge_parallel([a, b], "par").buffer_size == 64
+
+    def test_phases_equal_pairwise_merges(self):
+        a, b, c = self._mini(1, 0), self._mini(2, 1), self._mini(1, 2)
+        one_pass = merge_phases((a, b, c), "abc")
+        pairwise = merge_sequential(merge_sequential(a, b, "ab"), c, "abc")
+        assert list(one_pass.programs) == list(pairwise.programs)
+        assert one_pass.programs == pairwise.programs
+
+    def test_phases_reject_shared_op_colors(self):
+        # Color 0 is in the second phase's ops only, not in its rules.
+        b = self._mini(2, 1)
+        b.programs[2].ops.append(Send(color=0, length=2))
+        with pytest.raises(ValueError, match="share colors"):
+            merge_phases((self._mini(1, 0), b), "seq")
+
+    def test_phases_give_each_pe_its_own_program(self):
+        stamped = stamp_parallel(self._mini(0, 0), [0, 1], "rows")
+        assert stamped.programs[0] is stamped.programs[1]
+        merged = merge_phases((stamped,), "rows")
+        merged.programs[0].ops.clear()
+        merged.programs[0].router[0].clear()
+        assert len(merged.programs[1].ops) == 1
+        assert len(merged.programs[1].router[0]) == 1
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_phases_leave_the_collector_as_found(self, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            merge_phases((self._mini(1, 0), self._mini(2, 1)), "seq")
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_stamp_equals_parallel_merge_of_shifted_copies(self):
+        row = self._mini(0, 0)
+        row.program(1).ops.append(Send(color=1, length=2))
+        stamped = stamp_parallel(row, [0, 2], "stamped")
+        shifted = self._mini(2, 0)
+        shifted.program(3).ops.append(Send(color=1, length=2))
+        assert stamped.programs == merge_parallel([row, shifted], "par").programs
+
+    def test_stamp_rejects_overlap_and_leaving_the_grid(self):
+        with pytest.raises(ValueError, match="overlap"):
+            stamp_parallel(self._mini(1, 0), [0, 0], "rows")
+        with pytest.raises(IndexError):
+            stamp_parallel(self._mini(1, 0), [0, 3], "rows")

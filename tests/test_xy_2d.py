@@ -1,12 +1,32 @@
 """Integration tests for 2D Reduce: X-Y composition and Snake (Section 7)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from helpers import expected_sum, pe_inputs
-from repro.collectives import snake_reduce_schedule, xy_reduce_schedule
+from repro.collectives import (
+    allreduce_2d_schedule,
+    allreduce_lane_schedule,
+    broadcast_2d_schedule,
+    col_lane,
+    reduce_tree_for,
+    row_lane,
+    schedule_tree_reduce,
+    snake_reduce_schedule,
+    xy_allreduce_schedule,
+    xy_reduce_schedule,
+)
 from repro.fabric import Grid, simulate
+from repro.fabric.ir import (
+    ScheduleArrays,
+    lower_arrays,
+    merge_parallel,
+    merge_sequential,
+)
 from repro.model import analytic
+from repro.model.params import CS2
 
 PATTERNS = ["star", "chain", "tree", "two_phase", "autogen"]
 
@@ -118,3 +138,163 @@ class TestSnake:
             inputs={k: v.copy() for k, v in inputs.items()},
         )
         assert snake.cycles < xy.cycles
+
+
+# -- the per-row construction the stamped builders replaced -----------------
+
+
+def reference_xy_reduce(grid, pattern, b, row_colors=(0, 1),
+                        col_colors=(2, 3), params=CS2):
+    """X-Y Reduce built row by row and merged with ``merge_parallel``."""
+    if set(row_colors) & set(col_colors):
+        raise ValueError("row and column phases must use disjoint colors")
+
+    # Row phase: the same tree shape for every row.
+    row_tree = reduce_tree_for(pattern, grid.cols, b, params)
+    row_schedules = [
+        schedule_tree_reduce(
+            grid,
+            row_tree,
+            row_lane(grid, row),
+            b,
+            colors=row_colors,
+            name=f"xy-row-{pattern}",
+            validate=False,
+        )
+        for row in range(grid.rows)
+    ]
+    rows = merge_parallel(row_schedules, name=f"xy-rows-{pattern}")
+
+    # Column phase along column 0.
+    col_tree = reduce_tree_for(pattern, grid.rows, b, params)
+    cols = schedule_tree_reduce(
+        grid,
+        col_tree,
+        col_lane(grid, 0),
+        b,
+        colors=col_colors,
+        name=f"xy-col-{pattern}",
+        validate=False,
+    )
+    merged = merge_sequential(rows, cols, name=f"xy-reduce-{pattern}")
+    merged.validate()
+    return merged
+
+
+def reference_xy_allreduce(grid, pattern, b, row_colors=(0, 1, 2),
+                           col_colors=(3, 4, 5), params=CS2):
+    """X-Y AllReduce with one lane AllReduce per row and per column."""
+    if set(row_colors) & set(col_colors):
+        raise ValueError("row and column phases must use disjoint colors")
+    rows = merge_parallel(
+        [
+            allreduce_lane_schedule(
+                grid, row_lane(grid, r), pattern, b,
+                colors=row_colors, params=params,
+                name=f"xy-allreduce-row{r}",
+            )
+            for r in range(grid.rows)
+        ],
+        name=f"xy-allreduce-rows-{pattern}",
+    )
+    cols = merge_parallel(
+        [
+            allreduce_lane_schedule(
+                grid, col_lane(grid, c), pattern, b,
+                colors=col_colors, params=params,
+                name=f"xy-allreduce-col{c}",
+            )
+            for c in range(grid.cols)
+        ],
+        name=f"xy-allreduce-cols-{pattern}",
+    )
+    merged = merge_sequential(rows, cols, name=f"xy-allreduce-{pattern}")
+    merged.validate()
+    return merged
+
+
+def reference_allreduce_2d(grid, pattern, b, bcast_color=4, params=CS2):
+    """2D Reduce (validated) then the 2D broadcast, merged pairwise."""
+    if pattern == "snake":
+        reduce_phase = snake_reduce_schedule(grid, b, colors=(0, 1), params=params)
+    else:
+        reduce_phase = reference_xy_reduce(
+            grid, pattern, b, row_colors=(0, 1), col_colors=(2, 3), params=params
+        )
+    bcast_phase = broadcast_2d_schedule(grid, b, color=bcast_color)
+    merged = merge_sequential(
+        reduce_phase, bcast_phase, name=f"allreduce-2d-{pattern}"
+    )
+    merged.validate()
+    return merged
+
+
+def assert_same_schedule(got, want):
+    """Equal names, PE order, programs, rule lists, ops and dense arrays."""
+    assert got.name == want.name
+    assert got.buffer_size == want.buffer_size
+    assert got.grid == want.grid
+    assert list(got.programs) == list(want.programs)
+    for pe, prog in want.programs.items():
+        mine = got.programs[pe]
+        assert list(mine.router.items()) == list(prog.router.items()), pe
+        assert mine.ops == prog.ops, pe
+    assert got.programs == want.programs
+    lo_got, lo_want = lower_arrays(got), lower_arrays(want)
+    for f in dataclasses.fields(ScheduleArrays):
+        a, b = getattr(lo_got, f.name), getattr(lo_want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+EQUIV_PATTERNS = ["chain", "tree", "two_phase", "star", "autogen"]
+EQUIV_GRIDS = [(1, 7), (7, 1), (3, 5), (8, 8), (16, 64)]
+EQUIV_BS = [1, 64, 1024]
+
+
+@pytest.mark.parametrize("b", EQUIV_BS)
+@pytest.mark.parametrize("shape", EQUIV_GRIDS)
+@pytest.mark.parametrize("pattern", EQUIV_PATTERNS)
+class TestStampedEqualsPerRow:
+    """Stamping row 0 builds exactly the schedule the per-row merge did."""
+
+    def test_reduce(self, pattern, shape, b):
+        grid = Grid(*shape)
+        assert_same_schedule(
+            xy_reduce_schedule(grid, pattern, b),
+            reference_xy_reduce(grid, pattern, b),
+        )
+
+    def test_allreduce(self, pattern, shape, b):
+        grid = Grid(*shape)
+        assert_same_schedule(
+            allreduce_2d_schedule(grid, pattern, b),
+            reference_allreduce_2d(grid, pattern, b),
+        )
+
+    def test_xy_allreduce(self, pattern, shape, b):
+        grid = Grid(*shape)
+        assert_same_schedule(
+            xy_allreduce_schedule(grid, pattern, b),
+            reference_xy_allreduce(grid, pattern, b),
+        )
+
+
+@pytest.mark.parametrize("shape, b", [((4, 4), 64), ((2, 8), 16), ((8, 8), 64)])
+def test_stamped_xy_ring_allreduce_equals_per_row(shape, b):
+    grid = Grid(*shape)
+    assert_same_schedule(
+        xy_allreduce_schedule(grid, "ring", b),
+        reference_xy_allreduce(grid, "ring", b),
+    )
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (3, 5), (8, 8)])
+def test_snake_allreduce_equals_pairwise_merge(shape):
+    grid = Grid(*shape)
+    assert_same_schedule(
+        allreduce_2d_schedule(grid, "snake", 64),
+        reference_allreduce_2d(grid, "snake", 64),
+    )
