@@ -47,7 +47,7 @@ import numpy as np
 from ..fabric.geometry import Grid
 from ..fabric.ir import Schedule
 from ..fabric.simulator import SimResult, simulate
-from ..fabric.values import ValuesRefused, final_buffers
+from ..fabric.values import final_buffers
 from ..model.params import CS2, MachineParams
 from ..obs import spans as _obs
 from . import planner, registry
@@ -350,18 +350,14 @@ def _execute_impl(
     )
 
 
-def _replay(first: CollectiveOutcome, data: np.ndarray
-            ) -> Optional[CollectiveOutcome]:
+def _replay(first: CollectiveOutcome, data: np.ndarray) -> CollectiveOutcome:
     """``first.plan`` executed on ``data`` without a simulation: the
     timing of ``first`` (simulated timing depends only on the schedule)
-    with buffers from the value pass; ``None`` if the pass refuses."""
+    with buffers from the value pass, which cannot refuse a schedule
+    whose vectorized simulation ran."""
     spec, done = first.plan.spec, first.sim
     inputs = _prepare_inputs(spec, data)
-    try:
-        buffers = final_buffers(first.plan.schedule, inputs,
-                                _combine_for(spec.op))
-    except ValuesRefused:
-        return None
+    buffers = final_buffers(first.plan.schedule, inputs, _combine_for(spec.op))
     sim = SimResult(
         cycles=done.cycles,
         energy=done.energy,
@@ -391,12 +387,12 @@ def execute_batch(
     The first point of each plan is simulated.  If that ran on the
     vectorized backend, the plan's later points take copies of its
     timing and get their buffers from the clock-free value pass
-    (:mod:`repro.fabric.values`), which is bit-identical to a
-    simulation.  Points of a plan whose simulation ran on the reference
-    backend, or that the value pass refuses, are simulated one by one.
-    ``timed`` holds outcomes already simulated for some of the plans
-    (matched by ``outcome.plan`` identity, only ``result`` and
-    ``sim.buffers`` unused): every point of those plans replays them.
+    (:mod:`repro.fabric.values`), which is what a vectorized simulation
+    computes its buffers with too.  Points of a plan whose simulation
+    ran on the reference backend are simulated one by one.  ``timed``
+    holds outcomes already simulated for some of the plans (matched by
+    ``outcome.plan`` identity, only ``result`` and ``sim.buffers``
+    unused): every point of those plans replays them.
     """
     #: id(plan) -> the outcome later points replay, or None: simulate.
     replayable: Dict[int, Optional[CollectiveOutcome]] = {
@@ -413,9 +409,6 @@ def execute_batch(
                 replayable[id(planned)] = outcome if vectorized else None
         else:
             outcome = _replay(first, data)
-            if outcome is None:     # refused: the plan simulates from now on
-                replayable[id(planned)] = None
-                outcome = execute(planned, data, backend=backend)
         outcomes.append(outcome)
     return outcomes
 

@@ -63,12 +63,12 @@ REDUCE_OPS = {
     "prod": lambda a, b: a * b,
 }
 
-# Teach the vectorized simulator backend the ufunc equivalents of the
-# registry's combine callables (``sum``/``max``/``min`` are recognised
-# structurally; the ``prod`` lambda needs an explicit mapping).  Bit-exact:
-# a*b on float64 is exactly np.multiply.
+# Teach the value pass the ufunc equivalents of the registry's combine
+# callables (``sum``/``max``/``min`` are recognised structurally; the
+# ``prod`` lambda needs an explicit mapping).  Bit-exact: a*b on float64
+# is exactly np.multiply.
 import numpy as _np  # noqa: E402  (registration needs REDUCE_OPS above)
-from ..fabric.vectorized import register_combine as _register_combine  # noqa: E402
+from ..fabric.values import register_combine as _register_combine  # noqa: E402
 
 _register_combine(REDUCE_OPS["prod"], _np.multiply)
 

@@ -211,7 +211,7 @@ class SampleClock:
 Op = object  # informal union of the op dataclasses above
 
 #: op attributes :meth:`Schedule.colors_used` reads colors from.
-_OP_COLOR_ATTRS = ("color", "in_color", "out_color")
+_OP_COLOR_ATTRS = ("color", "in_color", "out_color", "send_color", "recv_color")
 
 
 @dataclass
@@ -379,7 +379,6 @@ class ScheduleArrays:
     op_off2: np.ndarray    # [P, O] int64 (SendRecv recv offset)
     op_len: np.ndarray     # [P, O] int64 (length; Delay cycles; SampleClock tag id)
     op_total: np.ndarray   # [P, O] int64 (total wavelets to move)
-    op_combine: np.ndarray  # [P, O] bool
     n_ops: np.ndarray      # [P] int32
     #: SampleClock tag strings, indexed by op_len for K_SAMPLE ops.
     tags: List[str]
@@ -443,7 +442,6 @@ def lower_arrays(schedule: Schedule) -> ScheduleArrays:
     op_off2 = np.zeros((P, O), dtype=np.int64)
     op_len = np.zeros((P, O), dtype=np.int64)
     op_total = np.zeros((P, O), dtype=np.int64)
-    op_combine = np.zeros((P, O), dtype=bool)
     n_ops = np.zeros(P, dtype=np.int32)
     emit_total = np.zeros(P, dtype=np.int64)
     tags: List[str] = []
@@ -475,7 +473,6 @@ def lower_arrays(schedule: Schedule) -> ScheduleArrays:
                 op_off[pe, j] = op.offset
                 op_len[pe, j] = op.length
                 op_total[pe, j] = op.total_wavelets
-                op_combine[pe, j] = op.combine
             elif isinstance(op, RecvReduceSend):
                 op_kind[pe, j] = K_RRS
                 op_c1[pe, j] = cmap[op.in_color]
@@ -492,7 +489,6 @@ def lower_arrays(schedule: Schedule) -> ScheduleArrays:
                 op_off2[pe, j] = op.recv_offset
                 op_len[pe, j] = op.length
                 op_total[pe, j] = op.length
-                op_combine[pe, j] = op.combine
                 emit_total[pe] += op.length
             elif isinstance(op, SendCtrl):
                 op_kind[pe, j] = K_SENDCTRL
@@ -532,7 +528,6 @@ def lower_arrays(schedule: Schedule) -> ScheduleArrays:
         op_off2=op_off2,
         op_len=op_len,
         op_total=op_total,
-        op_combine=op_combine,
         n_ops=n_ops,
         tags=tags,
         emit_total=emit_total,

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import heapq
 import logging
-import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -38,6 +37,7 @@ import numpy as np
 from ..model.params import CS2, MachineParams
 from ..obs import spans as _obs
 from ..obs.metrics import METRICS
+from . import values
 from .geometry import PORT_NAMES, Port, opposite_port
 from .ir import (
     Delay,
@@ -63,13 +63,14 @@ __all__ = [
     "simulate",
     "resolve_backend",
     "set_fallback_hook",
+    "FALLBACKS",
     "SIM_BACKENDS",
 ]
 
 logger = logging.getLogger(__name__)
 
 #: Recognised simulator backends.  ``vectorized`` falls back to
-#: ``reference`` automatically for schedules it does not cover.
+#: ``reference`` automatically for the runs of :data:`FALLBACKS`.
 SIM_BACKENDS = ("vectorized", "reference")
 
 _LINK_PORTS = (Port.WEST, Port.EAST, Port.NORTH, Port.SOUTH)
@@ -745,20 +746,30 @@ class FabricSimulator:
         raise SimulationError(f"unknown op {op!r} on PE {pe}")
 
 
-# One-time-per-reason fallback reporting: the vectorized backend's
-# silent `UnsupportedSchedule` -> reference fallback is correct but was
-# invisible; now every fallback increments a labeled counter (when
+# One-time-per-reason fallback reporting: every fallback of a
+# ``backend="vectorized"`` run increments a labeled counter (when
 # telemetry records) and warns once per distinct reason.  Tests (or
 # embedding applications) can install a hook to capture every event.
 _FALLBACK_STATE: Dict[str, object] = {"hook": None, "warned": set()}
+
+#: Every reason a ``backend="vectorized"`` simulation runs on the
+#: reference instead, in the order :func:`simulate` checks them, each
+#: decided from the arguments before a cycle runs: a tracer (it needs the
+#: reference's per-event hooks), ``ramp_latency < 1`` (it needs the
+#: reference's event order), an op type the array lowering does not
+#: know, and the value pass's static refusals
+#: (:func:`repro.fabric.values.refusal`): a combine with no ufunc, a
+#: ``SendRecv`` that overlaps itself, an op past its buffer.
+FALLBACKS = ("tracer", "ramp_latency", "op_type", "unsupported_combine",
+             "sendrecv_overlap", "op_past_buffer")
 
 
 def set_fallback_hook(hook: Optional[Callable[[Schedule, str], None]]):
     """Install ``hook(schedule, reason)`` for backend fallbacks.
 
     The hook replaces the once-per-reason log warning (it is called on
-    *every* fallback); pass ``None`` to restore the default.  Returns
-    the previous hook.
+    *every* fallback, with a reason from :data:`FALLBACKS`); pass
+    ``None`` to restore the default.  Returns the previous hook.
     """
     previous = _FALLBACK_STATE["hook"]
     _FALLBACK_STATE["hook"] = hook
@@ -779,6 +790,20 @@ def _note_fallback(schedule: Schedule, reason: str) -> None:
             "the reference simulator (logged once per reason)",
             schedule.name, reason,
         )
+
+
+def _fallback(schedule: Schedule, params: MachineParams,
+              kwargs: Dict[str, object]) -> Optional[str]:
+    """The reason in :data:`FALLBACKS` that sends this run to the
+    reference, or ``None`` for the vectorized backend."""
+    if kwargs.get("tracer") is not None:
+        return "tracer"
+    if params.ramp_latency < 1:
+        return "ramp_latency"
+    try:
+        return values.refusal(schedule, kwargs.get("combine"))
+    except TypeError:
+        return "op_type"
 
 
 def resolve_backend(backend: str | None = None) -> str:
@@ -806,22 +831,28 @@ def simulate(
 
     ``backend`` may be ``"vectorized"`` (default), ``"reference"``, or
     ``None`` to consult the ``REPRO_SIM_BACKEND`` environment variable.
-    The vectorized backend transparently falls back to the reference
-    simulator for schedules outside its supported envelope; both produce
-    bit-identical :class:`SimResult`\\ s (up to the ``backend`` tag).
+    The vectorized backend is two parts: the timing-only array stepper
+    (:mod:`repro.fabric.vectorized`) and, once the stepper is released,
+    the clock-free value pass (:func:`repro.fabric.values.final_buffers`)
+    for the buffers.  A run that hits one of :data:`FALLBACKS` goes to
+    the reference simulator instead, decided before either part starts.
+    Both backends produce bit-identical :class:`SimResult`\\ s (up to
+    the ``backend`` tag).
     """
     backend = resolve_backend(backend)
     if backend == "vectorized":
-        from .vectorized import UnsupportedSchedule, VectorizedSimulator
-
-        try:
-            sim = VectorizedSimulator(
-                schedule, inputs=inputs, params=params, **kwargs
-            )
-        except UnsupportedSchedule as exc:
-            _note_fallback(schedule, str(exc))
-        else:
-            result = sim.run()
-            result.backend = "vectorized"
-            return result
+        reason = _fallback(schedule, params, kwargs)
+        if reason is None:
+            return _simulate_vectorized(schedule, inputs, params, **kwargs)
+        _note_fallback(schedule, reason)
     return FabricSimulator(schedule, inputs=inputs, params=params, **kwargs).run()
+
+
+def _simulate_vectorized(schedule, inputs, params, combine=None, tracer=None,
+                         **kwargs) -> SimResult:
+    from .vectorized import VectorizedSimulator
+
+    result = VectorizedSimulator(schedule, params=params, **kwargs).run()
+    result.buffers = values.final_buffers(schedule, inputs, combine)
+    result.backend = "vectorized"
+    return result

@@ -10,14 +10,15 @@ channels in an order fixed by the schedule alone:
   accept port and copying each wavelet to every forward target; a
   control wavelet advances the rule it passes;
 * a processor runs its ops in program order, each as whole-slice numpy
-  ops with the same combine ufunc as the vectorized backend.
+  ops with the combine's ufunc (:func:`combine_ufunc`).
 
 Kahn's theorem makes the values on every channel independent of when
 they move, so running the processes in any order that respects the
-channels reproduces the simulator's buffers bit for bit.  The cycle
-simulator is still what says *when*: :mod:`repro.core.api` simulates
-one point of a plan and gives the plan's other points the timing of
-that run plus buffers from this pass.
+channels reproduces the reference simulator's buffers bit for bit.
+This pass is the one fast source of buffers: the vectorized backend is
+timing-only, and :func:`~repro.fabric.simulator.simulate` runs this pass
+beside it; :mod:`repro.core.api` runs it alone for a plan's repeated
+points, with the timing of the plan's first run.
 
 Processes run from a ready list: one is revisited only after a channel
 it reads receives data.  Static routers (one unbounded rule, no control
@@ -26,15 +27,18 @@ them to the process at the end.
 
 The pass refuses with a :class:`ValuesRefused` carrying one of
 :data:`REFUSALS` where the values could depend on timing or where it
-cannot finish:
+cannot finish.  :func:`refusal` decides the first three from the
+schedule alone, before a wavelet moves:
 
+* ``unsupported_combine`` — a combine callable with no ufunc mapping
+  (see :func:`register_combine`);
 * ``sendrecv_overlap`` — a :class:`~repro.fabric.ir.SendRecv` whose
   send and receive ranges overlap (what is sent depends on how far the
   receive got);
-* ``unsupported_combine`` — a combine callable with no ufunc mapping;
+* ``op_past_buffer`` — an op that reads or writes past its PE's buffer;
 * ``no_progress`` — no process can move yet a processor is unfinished
-  or a wavelet is left in a channel (a schedule the simulator would
-  report as deadlocked or misrouted).
+  or a wavelet is left in a router channel (a schedule the simulator
+  would report as deadlocked or misrouted).
 """
 
 from __future__ import annotations
@@ -48,7 +52,9 @@ from ..obs import spans as _obs
 from ..obs.metrics import METRICS
 from .geometry import Port, opposite_port
 from .ir import (
+    K_SEND,
     K_SENDCTRL,
+    K_SENDRECV,
     Delay,
     Recv,
     RecvReduceSend,
@@ -59,12 +65,59 @@ from .ir import (
     SendRecv,
     lower_arrays,
 )
-from .vectorized import UnsupportedSchedule, combine_ufunc
 
-__all__ = ["REFUSALS", "ValuesRefused", "final_buffers"]
+__all__ = ["REFUSALS", "ValuesRefused", "combine_ufunc", "final_buffers",
+           "refusal", "register_combine"]
 
 #: Every reason the value pass may refuse a schedule.
-REFUSALS = ("sendrecv_overlap", "unsupported_combine", "no_progress")
+REFUSALS = ("unsupported_combine", "sendrecv_overlap", "op_past_buffer",
+            "no_progress")
+
+#: combine callables the pass applies as ufuncs, bit-identically.  Keyed
+#: by identity; ``None`` (the default "sum") adds.  Python's
+#: ``max``/``min`` agree with the numpy ufuncs on all finite floats.
+_VECTOR_COMBINES: Dict[int, np.ufunc] = {
+    id(max): np.maximum,
+    id(min): np.minimum,
+}
+_COMBINE_KEEPALIVE = [max, min]
+
+
+def register_combine(fn: Callable[[float, float], float], ufunc: np.ufunc) -> None:
+    """Register a scalar combine callable as applied by ``ufunc``.
+
+    The caller asserts bit-identical results on all inputs the schedules
+    produce; unknown callables send a simulation to the reference backend.
+    """
+    _VECTOR_COMBINES[id(fn)] = ufunc
+    _COMBINE_KEEPALIVE.append(fn)
+
+
+def combine_ufunc(combine: Optional[Callable[[float, float], float]]
+                  ) -> Optional[np.ufunc]:
+    """The ufunc that applies ``combine`` (``None`` adds), or ``None``
+    when none is registered."""
+    return np.add if combine is None else _VECTOR_COMBINES.get(id(combine))
+
+
+def refusal(schedule: Schedule,
+            combine: Optional[Callable[[float, float], float]] = None
+            ) -> Optional[str]:
+    """The reason in :data:`REFUSALS` the pass refuses ``schedule`` before
+    it starts, or ``None``.  Raises ``TypeError`` for an op type that
+    :func:`~repro.fabric.ir.lower_arrays` does not know."""
+    arr = lower_arrays(schedule)
+    if combine_ufunc(combine) is None:
+        return "unsupported_combine"
+    kind, off, off2, length = arr.op_kind, arr.op_off, arr.op_off2, arr.op_len
+    if ((kind == K_SENDRECV) & (off < off2 + length)
+            & (off2 < off + length)).any():
+        return "sendrecv_overlap"
+    moves = (kind >= K_SEND) & (kind <= K_SENDRECV)
+    reach = np.maximum(off, off2) + length
+    if (moves & (reach > max(schedule.buffer_size, 1))).any():
+        return "op_past_buffer"
+    return None
 
 #: A control wavelet in a channel (never reaches a processor).
 _CTRL = None
@@ -276,6 +329,25 @@ def _step(op) -> Tuple[Optional[int], Optional[int], Optional[int]]:
     raise TypeError(f"unknown op {op!r}")
 
 
+def _ends(key: Optional[tuple], wires, resolved, channel,
+          seen: frozenset = frozenset()) -> _Targets:
+    """The channels a push into ``key`` lands in: through ``wires`` (input
+    key -> forward keys) to the first key that is not a wire, memoized in
+    ``resolved``.  A module function, not a closure that calls itself,
+    so a finished pass leaves no reference cycle behind."""
+    found = resolved.get(key)
+    if found is not None:
+        return found
+    if key in wires and key not in seen:
+        found = tuple(end for nxt in wires[key]
+                      for end in _ends(nxt, wires, resolved, channel,
+                                       seen | {key}))
+    else:
+        found = (None if key is None else channel(key),)
+    resolved[key] = found
+    return found
+
+
 def _network(schedule: Schedule, buffers: Dict[int, np.ndarray], ufunc):
     """The schedule's processes and channels, wired for one pass."""
     grid = schedule.grid
@@ -310,18 +382,8 @@ def _network(schedule: Schedule, buffers: Dict[int, np.ndarray], ufunc):
 
     resolved: Dict[Optional[tuple], _Targets] = {}
 
-    def ends(key: Optional[tuple], seen: frozenset = frozenset()) -> _Targets:
-        """The channels a push into ``key`` lands in."""
-        found = resolved.get(key)
-        if found is not None:
-            return found
-        if key in wires and key not in seen:
-            found = tuple(end for nxt in wires[key]
-                          for end in ends(nxt, seen | {key}))
-        else:
-            found = (None if key is None else channel(key),)
-        resolved[key] = found
-        return found
+    def ends(key: Optional[tuple]) -> _Targets:
+        return _ends(key, wires, resolved, channel)
 
     def targets(pe: int, color: int, ports) -> _Targets:
         return tuple(end for out in ports
@@ -352,11 +414,6 @@ def _network(schedule: Schedule, buffers: Dict[int, np.ndarray], ufunc):
             code, recv, send = _step(op)
             if code is None:
                 continue
-            if code == _SENDRECV and _overlaps(op):
-                raise ValuesRefused(
-                    "sendrecv_overlap",
-                    f"PE {pe}: send [{op.send_offset}, +{op.length}) "
-                    f"overlaps receive [{op.recv_offset}, +{op.length})")
             io = ported.get((recv, send))
             if io is None:
                 io = ported[recv, send] = (
@@ -373,18 +430,12 @@ def _network(schedule: Schedule, buffers: Dict[int, np.ndarray], ufunc):
     return processes, channels
 
 
-def _overlaps(op: SendRecv) -> bool:
-    return (op.send_offset < op.recv_offset + op.length
-            and op.recv_offset < op.send_offset + op.length)
-
-
 def _run(schedule: Schedule, inputs: Dict[int, np.ndarray],
          combine: Optional[Callable[[float, float], float]]
          ) -> Dict[int, np.ndarray]:
-    try:
-        ufunc = np.add if combine is None else combine_ufunc(combine)
-    except UnsupportedSchedule as exc:
-        raise ValuesRefused("unsupported_combine", str(exc)) from None
+    reason = refusal(schedule, combine)
+    if reason is not None:
+        raise ValuesRefused(reason, repr(schedule.name))
     size = max(schedule.buffer_size, 1)
     buffers = {pe: np.zeros(size) for pe in schedule.programs}
     for pe, vec in (inputs or {}).items():
@@ -394,7 +445,8 @@ def _run(schedule: Schedule, inputs: Dict[int, np.ndarray],
                              f"({len(vec)} > {size})")
         if pe in buffers:
             buffers[pe][:len(vec)] = vec
-    processes, channels = _network(schedule, buffers, ufunc)
+    processes, channels = _network(schedule, buffers,
+                                    combine_ufunc(combine))
     try:
         ready = deque(processes)
         while ready:
@@ -403,7 +455,10 @@ def _run(schedule: Schedule, inputs: Dict[int, np.ndarray],
             process.run(ready)
         stuck = [p for p in processes
                  if isinstance(p, _Processor) and p.op < len(p.steps)]
-        if stuck or any(c.segs for c in channels.values()):
+        # Wavelets left in a processor's ramp channel were never asked
+        # for, which the simulator does not count as an error either.
+        if stuck or any(channel.segs for key, channel in channels.items()
+                        if key[0] == "r"):
             raise ValuesRefused(
                 "no_progress",
                 f"{len(stuck)} processor(s) unfinished in {schedule.name!r}")

@@ -1,14 +1,20 @@
-"""Vectorized array-phase backend for the fabric simulator.
+"""Vectorized array-phase backend for the fabric simulator: timing only.
 
-Represents the whole grid as flat ndarrays — router FIFO rings and link
-staging slots over the ``[pe, port, lane]`` space, rule cursors and
+Represents the whole grid as flat ndarrays — router FIFO occupancies and
+link staging slots over the ``[pe, port, lane]`` space, rule cursors and
 processor in-queues over ``[pe, lane]``, op counters and ramp queues per
 PE — and advances *all* PEs per cycle in four phase updates — drain ->
 deliver -> route -> step-procs — instead of the reference simulator's
-per-object dispatch.  Semantics are bit-identical to
-:class:`~repro.fabric.simulator.FabricSimulator`; the reference stays the
-oracle and any program this backend does not cover raises
-:class:`UnsupportedSchedule` so the selector can fall back.
+per-object dispatch.  Its timing (cycles, energy, ramp counts, link
+loads, completion, clock samples) is bit-identical to
+:class:`~repro.fabric.simulator.FabricSimulator`, the oracle.
+
+The stepper is timing-only: it moves wavelet counts and arrival times,
+never payloads, because when a wavelet moves does not depend on what it
+carries.  Its :class:`~repro.fabric.simulator.SimResult` has empty
+``buffers``; :func:`~repro.fabric.simulator.simulate` fills them from
+the clock-free value pass (:func:`~repro.fabric.values.final_buffers`),
+and also decides beforehand which schedules go to the reference instead.
 
 Each phase starts from one active index list (the occupied staging slots,
 the non-empty FIFOs, the PEs with pending ramp entries, the PEs per op
@@ -25,14 +31,13 @@ consecutive cycles perform structurally identical actions (same accepts,
 deliveries, drains and processor steps, same rule indices, constant
 queue lengths, no control wavelets in flight), the steady state is
 provably periodic with period one, and a whole window of ``K`` cycles is
-applied as a few array slice operations (values propagate through an
-explicit flow graph of the active queues).  ``K`` is bounded so the
-window ends strictly before any structural change (rule exhaustion, op
-completion, message wrap, timer wake, queue maturity).  On strided 2D
-grids this turns the long streaming phases of the collectives — the vast
-majority of simulated cycles — into O(1) cycles of work, which is where
-the 10-100x points/sec over the reference comes from.  The 1D pipelines
-of the paper's figs 11-12 are mostly wavefronts, and where a cycle does
+applied as a few counter updates.  ``K`` is bounded so the window ends
+strictly before any structural change (rule exhaustion, op completion,
+message wrap, timer wake, queue maturity).  On strided 2D grids this
+turns the long streaming phases of the collectives — the vast majority
+of simulated cycles — into O(1) cycles of work, which is where the
+10-100x points/sec over the reference comes from.  The 1D pipelines of
+the paper's figs 11-12 are mostly wavefronts, and where a cycle does
 repeat, the window usually ends within a few cycles; so at 1x64 almost
 every cycle is stepped and the two backends are within a small factor
 of each other.  ``REPRO_SIM_STRIDE=0`` disables the stride path
@@ -42,7 +47,7 @@ of each other.  ``REPRO_SIM_STRIDE=0`` disables the stride path
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -63,50 +68,7 @@ from .ir import (
 )
 from .simulator import DeadlockError, SimResult, SimulationError
 
-__all__ = [
-    "UnsupportedSchedule",
-    "VectorizedSimulator",
-    "combine_ufunc",
-    "register_combine",
-    "stride_enabled",
-]
-
-
-class UnsupportedSchedule(Exception):
-    """Raised when a program is outside the vectorized backend's coverage.
-
-    The backend selector catches this and falls back to the reference
-    simulator; it must be raised at construction time, never mid-run.
-    """
-
-
-#: combine callables the backend can vectorize bit-identically.  Keyed by
-#: identity; ``None`` (the default "sum") is handled separately.  Python's
-#: ``max``/``min`` agree with the numpy ufuncs on all finite floats.
-_VECTOR_COMBINES: Dict[int, np.ufunc] = {
-    id(max): np.maximum,
-    id(min): np.minimum,
-}
-_COMBINE_KEEPALIVE = [max, min]
-
-
-def register_combine(fn: Callable[[float, float], float], ufunc: np.ufunc) -> None:
-    """Register a scalar combine callable as vectorizable via ``ufunc``.
-
-    The caller asserts bit-identical results on all inputs the schedules
-    produce; unknown callables simply fall back to the reference backend.
-    """
-    _VECTOR_COMBINES[id(fn)] = ufunc
-    _COMBINE_KEEPALIVE.append(fn)
-
-
-def combine_ufunc(combine: Callable[[float, float], float]) -> np.ufunc:
-    """The ufunc registered for ``combine``; raises
-    :class:`UnsupportedSchedule` when there is none."""
-    ufunc = _VECTOR_COMBINES.get(id(combine))
-    if ufunc is None:
-        raise UnsupportedSchedule(f"combine {combine!r} not vectorizable")
-    return ufunc
+__all__ = ["VectorizedSimulator", "stride_enabled"]
 
 
 def stride_enabled() -> bool:
@@ -134,32 +96,24 @@ def _ragged(starts: np.ndarray, lens: np.ndarray):
 
 
 class VectorizedSimulator:
-    """Array-phase execution of one schedule (see module docstring)."""
+    """Array-phase timing of one schedule (see module docstring).
+
+    Covers what :func:`~repro.fabric.simulator.simulate` sends it: no
+    tracer, ``ramp_latency >= 1``, and the op types of
+    :func:`~repro.fabric.ir.lower_arrays`.
+    """
 
     def __init__(
         self,
         schedule: Schedule,
-        inputs: Dict[int, np.ndarray] | None = None,
         params: MachineParams = CS2,
-        combine: Callable[[float, float], float] | None = None,
         fifo_capacity: int = 4,
         clock_offsets: Dict[int, int] | None = None,
         max_cycles: int = 50_000_000,
-        tracer=None,
     ) -> None:
         if fifo_capacity < 1:
             raise ValueError("fifo_capacity must be >= 1")
-        if tracer is not None:
-            raise UnsupportedSchedule("tracer attached (reference only)")
-        if params.ramp_latency < 1:
-            raise UnsupportedSchedule("ramp_latency < 1 needs the reference event order")
-        self._combine_ufunc: Optional[np.ufunc] = (
-            None if combine is None else combine_ufunc(combine)  # None: +=
-        )
-        try:
-            arr = lower_arrays(schedule)
-        except TypeError as exc:
-            raise UnsupportedSchedule(str(exc)) from None
+        arr = lower_arrays(schedule)
 
         self.schedule = schedule
         self.grid = schedule.grid
@@ -194,20 +148,21 @@ class VectorizedSimulator:
             (arr.r_fwd[:, :, :, 1:5] & (arr.nbr[:, None, None, 1:5] < 0)).any()
         )
 
-        # Router FIFO rings per [pe, port, lane] (per-color virtual
-        # channels), ``cap`` entries each; head and tail are flat positions.
-        self.fval = np.zeros(NF * cap, dtype=np.float64)
-        self.fctrl = np.zeros(NF * cap, dtype=bool)
+        # Router FIFO lengths per [pe, port, lane] (per-color virtual
+        # channels, ``cap`` entries each) and staged output slots.  Only
+        # control flags ride with a wavelet: in a ring of ``cap`` flags
+        # per FIFO (head and tail are flat positions) and one per staged
+        # slot, kept when the schedule sends control wavelets at all.
         self.flen = np.zeros(NF, dtype=np.int64)
-        self.fhead = np.arange(NF, dtype=np.int64) * cap
-        self.ftail = self.fhead.copy()
-        self.ring_next = np.arange(1, NF * cap + 1, dtype=np.int64)
-        self.ring_next[cap - 1 :: cap] -= cap
         self._flen_ramp = self.flen.reshape(P, 5 * C)[:, :C]
-        # Staged output slots per [pe, port, lane].
-        self.sval = np.zeros(NF, dtype=np.float64)
-        self.sctrl = np.zeros(NF, dtype=bool)
         self.socc = np.zeros(NF, dtype=bool)
+        if self._ctrl:
+            self.fctrl = np.zeros(NF * cap, dtype=bool)
+            self.fhead = np.arange(NF, dtype=np.int64) * cap
+            self.ftail = self.fhead.copy()
+            self.ring_next = np.arange(1, NF * cap + 1, dtype=np.int64)
+            self.ring_next[cap - 1 :: cap] -= cap
+            self.sctrl = np.zeros(NF, dtype=bool)
 
         # Router rule tables as rows ``pc * R + j``: each (pe, lane) has
         # its rules, then blank rows (accept -1, no forward, count 0) from
@@ -234,29 +189,14 @@ class VectorizedSimulator:
 
         # Processor state; ``ox`` is each PE's current op as a flat index
         # into the op tables, ``kind`` its kind (0 once the program is done).
-        B = max(schedule.buffer_size, 1)
         O = arr.op_kind.shape[1]
         self.O = O
-        self.buf = np.zeros((P, B), dtype=np.float64)
-        self.buf1 = self.buf.reshape(-1)
-        if inputs:
-            for pe, vec in inputs.items():
-                vec = np.asarray(vec, dtype=np.float64)
-                if len(vec) > B:
-                    raise ValueError(
-                        f"input for PE {pe} longer than buffer "
-                        f"({len(vec)} > {B})"
-                    )
-                self.buf[pe, : len(vec)] = vec
         op_pe = np.repeat(self.aP, O)
         self.op_kind = arr.op_kind.reshape(-1).astype(np.int64)
         self.op_len = arr.op_len.reshape(-1)
         self.op_total = arr.op_total.reshape(-1)
-        self.op_comb = arr.op_combine.reshape(-1)
         self.op_lane1 = arr.op_c1.reshape(-1).astype(np.int64)
         self.op_lane2 = arr.op_c2.reshape(-1).astype(np.int64)
-        self.op_buf = op_pe * B + arr.op_off.reshape(-1)
-        self.op_buf2 = op_pe * B + arr.op_off2.reshape(-1)
         kinds = self.op_kind
         #: (pe, lane) in-queue each op consumes from, -1 for none.
         self.op_q = np.where(
@@ -264,10 +204,6 @@ class VectorizedSimulator:
             op_pe * C + np.where(kinds == K_SENDRECV, self.op_lane2, self.op_lane1),
             -1,
         )
-        moves = (kinds >= K_SEND) & (kinds <= K_SENDRECV)
-        reach = np.maximum(arr.op_off, arr.op_off2).reshape(-1) + self.op_len
-        if (moves & (reach > B)).any():
-            raise UnsupportedSchedule("an op reaches past its PE's buffer")
         self.n_ops = arr.n_ops.astype(np.int64)
         self.op_i = np.zeros(P, dtype=np.int64)
         self.obase = self.aP * O
@@ -279,23 +215,23 @@ class VectorizedSimulator:
         # SendCtrl emits per PE: every other pending entry is a data send.
         self.ctrl_sent = np.zeros(P, dtype=np.int64)
 
-        # Processor in-queues per (pe, lane): rings of Q entries with
+        # Processor in-queues per (pe, lane): rings of Q ready times with
         # absolute head/tail counters (slot = counter % Q), grown on demand.
         self.Q = 32
-        self.qval = np.zeros(NQ * self.Q, dtype=np.float64)
         self.qready = np.zeros(NQ * self.Q, dtype=np.int64)
         self.qhead = np.zeros(NQ, dtype=np.int64)
         self.qtail = np.zeros(NQ, dtype=np.int64)
         self._qfill = 0  # upper bound on the longest in-queue
 
         # Pending ramp-entry queue per pe (send -> router fifo, delayed by
-        # 1 + T_R).  Sized exactly: a PE never emits more than emit_total.
+        # 1 + T_R): lane and entry time of each.  Sized exactly: a PE
+        # never emits more than emit_total.
         PQ = max(1, int(arr.emit_total.max()) if P else 1)
         self.pbase = self.aP * PQ
-        self.pval = np.zeros(P * PQ, dtype=np.float64)
         self.pcol = np.zeros(P * PQ, dtype=np.int64)
-        self.pctrl = np.zeros(P * PQ, dtype=bool)
         self.ptime = np.zeros(P * PQ, dtype=np.int64)
+        if self._ctrl:
+            self.pctrl = np.zeros(P * PQ, dtype=bool)
         self.phead = np.zeros(P, dtype=np.int64)
         self.ptail = np.zeros(P, dtype=np.int64)
 
@@ -314,8 +250,8 @@ class VectorizedSimulator:
         # (one row per PE: route[5] | del[4] | drain | proc); each cycle
         # resets the current half, the phases fill it, and the detector
         # compares the two halves.  Queue-length constancy is NOT part of
-        # the signature — the apply-time flow-graph balance check enforces
-        # it, which is what makes the window sound.
+        # the signature — the apply-time balance check enforces it, which
+        # is what makes the window sound.
         self.stride = stride_enabled()
         self.stride_windows = 0
         self.stride_cycles = 0
@@ -338,28 +274,30 @@ class VectorizedSimulator:
         self._point_sigs()
 
         # Telemetry: decided once at construction so the per-cycle loop
-        # never re-checks.  When recording, the four phase methods (plus
-        # the stride detector) are shadowed by timing wrappers on the
-        # instance; when disabled the loop is untouched — zero cost.
+        # never re-checks (see :meth:`_phases`).
         self._obs = _obs.enabled()
         self._phase_secs = [0.0] * len(_PHASE_NAMES)
-        if self._obs:
-            self._drain = self._timed_phase(self._drain, 0)
-            self._deliver = self._timed_phase(self._deliver, 1)
-            self._route = self._timed_phase(self._route, 2)
-            self._procs = self._timed_phase(self._procs, 3)
-            self._maybe_stride = self._timed_phase(self._maybe_stride, 4)
 
-    def _timed_phase(self, fn, index: int):
+    def _phases(self):
+        """The four phase methods and the stride detector, in
+        :data:`_PHASE_NAMES` order; when telemetry records, each wrapped
+        to add its wall time to its slot.  The wrappers live only in the
+        run loop, so the simulator holds no reference to itself."""
+        phases = (self._drain, self._deliver, self._route, self._procs,
+                  self._maybe_stride)
+        if not self._obs:
+            return phases
         secs = self._phase_secs
 
-        def timed(*args):
-            t0 = time.perf_counter()
-            try:
-                return fn(*args)
-            finally:
-                secs[index] += time.perf_counter() - t0
-        return timed
+        def timed(fn, index):
+            def run(*args):
+                t0 = time.perf_counter()
+                try:
+                    return fn(*args)
+                finally:
+                    secs[index] += time.perf_counter() - t0
+            return run
+        return tuple(timed(fn, i) for i, fn in enumerate(phases))
 
     def _views(self, half: int):
         row = self.sigbuf[half]
@@ -387,38 +325,30 @@ class VectorizedSimulator:
         ctr = head + (np.arange(old)[None, :] - head) % old
         live = ctr < self.qtail[:, None]
         qi, slot = np.nonzero(live)
-        src = qi * old + slot
-        dst = qi * newQ + ctr[live] % newQ
-        nqval = np.zeros(len(self.qhead) * newQ, dtype=np.float64)
         nqready = np.zeros(len(self.qhead) * newQ, dtype=np.int64)
-        nqval[dst] = self.qval[src]
-        nqready[dst] = self.qready[src]
-        self.qval, self.qready, self.Q = nqval, nqready, newQ
+        nqready[qi * newQ + ctr[live] % newQ] = self.qready[qi * old + slot]
+        self.qready, self.Q = nqready, newQ
 
-    def _push_fifo(self, f, vals, ctrl) -> None:
-        """Append one wavelet to each FIFO in ``f`` (distinct, not full)."""
+    def _push_ctrl(self, f, ctrl) -> None:
+        """Append a wavelet's control flag to each FIFO in ``f``
+        (distinct, not full)."""
         pos = self.ftail[f]
-        self.fval[pos] = vals
-        if self._ctrl:
-            self.fctrl[pos] = ctrl
+        self.fctrl[pos] = ctrl
         self.ftail[f] = self.ring_next[pos]
 
-    def _push_queue(self, q, vals, ready: int) -> None:
+    def _push_queue(self, q, ready: int) -> None:
         """Append one entry to each (distinct) in-queue in ``q``."""
         self._qfill += 1
         if self._qfill > self.Q:
             self._qfill = int((self.qtail - self.qhead).max()) + 1
             self._grow_q(self._qfill)
         t = self.qtail[q]
-        pos = q * self.Q + t % self.Q
-        self.qval[pos] = vals
-        self.qready[pos] = ready
+        self.qready[q * self.Q + t % self.Q] = ready
         self.qtail[q] = t + 1
 
-    def _append_pending(self, idx, lanes, vals, cycle: int, ctrl=False) -> None:
+    def _append_pending(self, idx, lanes, cycle: int, ctrl=False) -> None:
         t = self.ptail[idx]
         slot = self.pbase[idx] + t
-        self.pval[slot] = vals
         self.pcol[slot] = lanes
         self.ptime[slot] = cycle + 1 + self.TR
         if self._ctrl:
@@ -448,26 +378,11 @@ class VectorizedSimulator:
         if np.count_nonzero(done):
             self.donec[idx[done]] = cycle
 
-    def _store(self, k, vals, combine) -> None:
-        """Write (or combine, where ``combine``) ``vals`` into buffer slots ``k``."""
-        n_cmb = np.count_nonzero(combine)
-        if n_cmb < len(k):
-            if n_cmb == 0:
-                self.buf1[k] = vals
-                return
-            self.buf1[k[~combine]] = vals[~combine]
-            k, vals = k[combine], vals[combine]
-        if self._combine_ufunc is None:
-            self.buf1[k] += vals
-        else:
-            self.buf1[k] = self._combine_ufunc(self.buf1[k], vals)
-
     def _queue_heads(self, q, cycle: int):
-        """Head slot of each in-queue in ``q`` and whether it is ready."""
+        """Head counter of each in-queue in ``q`` and whether it is ready."""
         hd = self.qhead[q]
-        slot = q * self.Q + hd % self.Q
-        ready = (hd < self.qtail[q]) & (self.qready[slot] <= cycle)
-        return hd, slot, ready
+        ready = (hd < self.qtail[q]) & (self.qready[q * self.Q + hd % self.Q] <= cycle)
+        return hd, ready
 
     # -- phases ----------------------------------------------------------------
 
@@ -490,8 +405,8 @@ class VectorizedSimulator:
                 idx, slot, times = idx[due], slot[due], times[due]
             lanes = self.pcol[slot]
             f = idx * (5 * self.C) + lanes
-            self._push_fifo(f, self.pval[slot],
-                            self.pctrl[slot] if self._ctrl else None)
+            if self._ctrl:
+                self._push_ctrl(f, self.pctrl[slot])
             self.flen[f] += 1
             self.phead[idx] += 1
             self.pend_total -= n
@@ -544,7 +459,8 @@ class VectorizedSimulator:
             if n < len(s):
                 s, dst, fl = s[first], dst[first], fl[first]
         self.socc[s] = False
-        self._push_fifo(dst, self.sval[s], self.sctrl[s] if self._ctrl else None)
+        if self._ctrl:
+            self._push_ctrl(dst, self.sctrl[s])
         self.flen[dst] = fl + 1
         self.energy += n
         self.link_loads[self.f_link[s]] += 1
@@ -592,18 +508,18 @@ class VectorizedSimulator:
             n = np.count_nonzero(first)
             if n < len(f):
                 f, pc = f[first], pc[first]
-        head = self.fhead[f]
-        v = self.fval[head]
-        self.fhead[f] = self.ring_next[head]
         self.flen[f] -= 1
         self.fifo_total -= n
         self._n_route = n
-        ctrl = self.fctrl[head] if self._ctrl else None
+        ctrl = None
+        if self._ctrl:
+            head = self.fhead[f]
+            ctrl = self.fctrl[head]
+            self.fhead[f] = self.ring_next[head]
         fwd = self.fwd_out[pc]
         rows, outs = fwd.nonzero()
         if len(rows):
             s = self.pc_out[pc[rows], outs]
-            self.sval[s] = v[rows]
             self.socc[s] = True
             if ctrl is not None:
                 self.sctrl[s] = ctrl[rows]
@@ -613,10 +529,7 @@ class VectorizedSimulator:
             ramp = ramp & ~ctrl
         n_ramp = np.count_nonzero(ramp)
         if n_ramp:
-            if n_ramp < n:
-                self._push_queue(pc[ramp], v[ramp], cycle + self.TR)
-            else:
-                self._push_queue(pc, v, cycle + self.TR)
+            self._push_queue(pc[ramp] if n_ramp < n else pc, cycle + self.TR)
         # Rule advancement: ctrl unconditionally, else counted down.
         rem = self.r_rem[pc]
         if ctrl is None:
@@ -693,11 +606,8 @@ class VectorizedSimulator:
         if not len(idx):
             return 0
         ox = self.ox[idx]
-        pr = self.prog[idx]
-        self._append_pending(
-            idx, self.op_lane1[ox], self.buf1[self.op_buf[ox] + pr], cycle
-        )
-        pr += 1
+        self._append_pending(idx, self.op_lane1[ox], cycle)
+        pr = self.prog[idx] + 1
         self.prog[idx] = pr
         fin = pr >= self.op_len[ox]
         if np.count_nonzero(fin):
@@ -708,17 +618,14 @@ class VectorizedSimulator:
     def _step_recv(self, idx, cycle: int) -> int:
         ox = self.ox[idx]
         q = self.op_q[ox]
-        hd, slot, ready = self._queue_heads(q, cycle)
+        hd, ready = self._queue_heads(q, cycle)
         n = np.count_nonzero(ready)
         if not n:
             return 0
         if n < len(idx):
-            idx, ox, q, hd, slot = idx[ready], ox[ready], q[ready], hd[ready], slot[ready]
+            idx, ox, q, hd = idx[ready], ox[ready], q[ready], hd[ready]
         self.qhead[q] = hd + 1
-        pr = self.prog[idx]
-        self._store(self.op_buf[ox] + pr % self.op_len[ox], self.qval[slot],
-                    self.op_comb[ox])
-        pr += 1
+        pr = self.prog[idx] + 1
         self.prog[idx] = pr
         fin = pr >= self.op_total[ox]
         if np.count_nonzero(fin):
@@ -729,24 +636,16 @@ class VectorizedSimulator:
     def _step_rrs(self, idx, cycle: int) -> int:
         ox = self.ox[idx]
         q = self.op_q[ox]
-        hd, slot, ready = self._queue_heads(q, cycle)
+        hd, ready = self._queue_heads(q, cycle)
         ready &= self._ramp_free()[idx]
         n = np.count_nonzero(ready)
         if not n:
             return 0
         if n < len(idx):
-            idx, ox, q, hd, slot = idx[ready], ox[ready], q[ready], hd[ready], slot[ready]
+            idx, ox, q, hd = idx[ready], ox[ready], q[ready], hd[ready]
         self.qhead[q] = hd + 1
-        pr = self.prog[idx]
-        k = self.op_buf[ox] + pr
-        v = self.qval[slot]
-        if self._combine_ufunc is None:
-            out = self.buf1[k] + v
-        else:
-            out = self._combine_ufunc(self.buf1[k], v)
-        self.buf1[k] = out
-        self._append_pending(idx, self.op_lane2[ox], out, cycle)
-        pr += 1
+        self._append_pending(idx, self.op_lane2[ox], cycle)
+        pr = self.prog[idx] + 1
         self.prog[idx] = pr
         fin = pr >= self.op_len[ox]
         if np.count_nonzero(fin):
@@ -759,23 +658,14 @@ class VectorizedSimulator:
         L = self.op_len[ox]
         sent, recvd = np.divmod(self.prog[idx], L + 1)
         send_m = (sent < L) & self._ramp_free()[idx]
-        # Send values are read before any same-cycle recv writes, exactly
-        # like the reference's step order.
-        sv = self.buf1[self.op_buf[ox] + np.minimum(sent, L - 1)]
         q = self.op_q[ox]
-        hd, slot, ready = self._queue_heads(q, cycle)
+        hd, ready = self._queue_heads(q, cycle)
         recv_m = (recvd < L) & ready
         if send_m.any():
-            ids = idx[send_m]
-            self._append_pending(ids, self.op_lane1[ox[send_m]], sv[send_m], cycle)
+            self._append_pending(idx[send_m], self.op_lane1[ox[send_m]], cycle)
             sent = sent + send_m
         if recv_m.any():
             self.qhead[q[recv_m]] = hd[recv_m] + 1
-            self._store(
-                self.op_buf2[ox[recv_m]] + recvd[recv_m],
-                self.qval[slot[recv_m]],
-                self.op_comb[ox[recv_m]],
-            )
             recvd = recvd + recv_m
         self.prog[idx] = sent * (L + 1) + recvd
         fin = (sent >= L) & (recvd >= L)
@@ -790,7 +680,7 @@ class VectorizedSimulator:
         idx = idx[self._ramp_free()[idx]]
         if not len(idx):
             return 0
-        self._append_pending(idx, self.op_lane1[self.ox[idx]], 0.0, cycle, True)
+        self._append_pending(idx, self.op_lane1[self.ox[idx]], cycle, True)
         self.ctrl_inflight += len(idx)
         self.ctrl_sent[idx] += 1
         self._advance_ops(idx, cycle)
@@ -885,6 +775,7 @@ class VectorizedSimulator:
         # Every cycle up to the last activity is stepped, strided or
         # jumped over by an idle fast-forward; count the first and last.
         steps = jumped = 0
+        drain, deliver, route, procs, maybe_stride = self._phases()
         while True:
             if cycle > self.max_cycles:
                 raise SimulationError(
@@ -892,16 +783,16 @@ class VectorizedSimulator:
                     f"(schedule {self.schedule.name!r})"
                 )
             self._point_sigs()
-            self._drain(cycle)
-            progressed = self._deliver(cycle)
-            progressed |= self._route(cycle)
-            progressed |= self._procs(cycle)
+            drain(cycle)
+            progressed = deliver(cycle)
+            progressed |= route(cycle)
+            progressed |= procs(cycle)
             steps += 1
             if progressed:
                 last_activity = cycle
                 self.stepped_cycles, self.jumped_cycles = steps, jumped
                 if self.stride:
-                    k = self._maybe_stride(cycle)
+                    k = maybe_stride(cycle)
                     if k:
                         cycle += k
                         last_activity = cycle
@@ -922,7 +813,7 @@ class VectorizedSimulator:
         return SimResult(
             cycles=last_activity + 1,
             energy=int(self.energy),
-            buffers={pe: self.buf[pe].copy() for pe in self.schedule.programs},
+            buffers={},     # timing only: simulate() adds the values
             received=self.qhead.reshape(P, self.C).sum(1),
             sent=self.ptail - self.ctrl_sent,
             link_loads=self.link_loads.reshape(P, 5),
@@ -1069,9 +960,10 @@ class VectorizedSimulator:
             short = acting & (1 + TR > L)
             if short.any():
                 K = min(K, int(L[short].min()))
-            # Lanes must be uniform (the flow graph carries one lane) and
-            # the refilling emit must use that same lane: RecvReduceSend
-            # emits on its out lane, every other op on its first lane.
+            # Lanes must be uniform (the window refills a queue on one
+            # lane) and the refilling emit must use that same lane:
+            # RecvReduceSend emits on its out lane, every other op on its
+            # first lane.
             lanes = self.pcol[slot]
             head_lane = lanes[np.cumsum(L) - L]
             if (lanes != head_lane[rows]).any():
@@ -1121,16 +1013,17 @@ class VectorizedSimulator:
                 K = min(K, TR)
         return K
 
-    def _flow_balanced(self) -> bool:
-        """Does this cycle's flow graph move every queue at matched rates?
+    def _stride_apply(self, t: int, K: int) -> bool:
+        """Apply K repeats of this cycle's actions as bulk array ops.
 
-        Each FIFO, staged slot and pending queue needs as many producers
-        as consumers (else the constant-length snapshots would have
-        diverged), and no queue may have more than one of either; the
-        in-queues may legitimately grow or drain.  Keys: FIFOs, then
-        staged slots, then pending queues, then in-queues.
+        Each FIFO, staged slot and pending queue must have as many
+        producers as consumers (else the constant-length snapshots would
+        have diverged), and no queue may have more than one of either;
+        the in-queues may legitimately grow or drain.  Keys of the push
+        and pop counts: FIFOs, then staged slots, then pending queues,
+        then in-queues.
         """
-        C, NF = self.C, len(self.flen)
+        C, NF, TR = self.C, len(self.flen), self.TR
         p_key, q_key = 2 * NF, 2 * NF + self.P
         pushes, pops = [], []
         # drain: pending -> fifo[RAMP]
@@ -1139,16 +1032,16 @@ class VectorizedSimulator:
         pushes.append(pes * 5 * C + self.sig_drain[pes])
         # deliver: staged -> neighbour fifo
         pes, p4 = np.nonzero(self.sig_del >= 0)
-        slots = (pes * 5 + p4 + 1) * C + self.sig_del[pes, p4]
-        pops.append(NF + slots)
-        pushes.append(self.s_dst[slots])
+        del_slots = (pes * 5 + p4 + 1) * C + self.sig_del[pes, p4]
+        pops.append(NF + del_slots)
+        pushes.append(self.s_dst[del_slots])
         # accept: fifo -> staged slots and/or the in-queue
-        pes, ports = np.nonzero(self.sig_route >= 0)
-        lanes = self.sig_route[pes, ports]
-        pc = pes * C + lanes
-        pops.append((pes * 5 + ports) * C + lanes)
-        pushes.append(NF + self.pc_out[pc][self.fwd_out[pc]])
-        pushes.append(q_key + pc[self.fwd_ramp[pc]])
+        rpes, rports = np.nonzero(self.sig_route >= 0)
+        lanes = self.sig_route[rpes, rports]
+        rpc = rpes * C + lanes
+        pops.append((rpes * 5 + rports) * C + lanes)
+        pushes.append(NF + self.pc_out[rpc][self.fwd_out[rpc]])
+        pushes.append(q_key + rpc[self.fwd_ramp[rpc]])
         # processors: emit into the pending queue, take from the in-queue
         act = (self.sig_proc > 0).nonzero()[0]
         kind, code = self.kind[act], self.sig_proc[act]
@@ -1160,298 +1053,51 @@ class VectorizedSimulator:
         n = q_key + len(self.qhead)
         push = np.bincount(np.concatenate(pushes), minlength=n)
         pop = np.bincount(np.concatenate(pops), minlength=n)
-        return bool(
-            push.max() <= 1 and pop.max() <= 1
-            and np.array_equal(push[:q_key], pop[:q_key])
-        )
-
-    def _stride_apply(self, t: int, K: int) -> bool:
-        """Apply K repeats of this cycle's actions as bulk array ops."""
-        nodes: List[dict] = []
-        try:
-            return self._stride_flow(t, K, nodes)
-        finally:
-            # Nodes, their queues and their closures refer to one another.
-            # Clearing the nodes lets reference counting free the queues'
-            # value arrays now instead of at the next cyclic collection.
-            for node in nodes:
-                node.clear()
-
-    def _stride_flow(self, t: int, K: int, nodes: List[dict]) -> bool:
-        """:meth:`_stride_apply`'s flow graph; appends its nodes to ``nodes``."""
-        if not self._flow_balanced():
+        if not (push.max() <= 1 and pop.max() <= 1
+                and np.array_equal(push[:q_key], pop[:q_key])):
             return False
-        TR, C, cap = self.TR, self.C, self.cap
 
-        # Flow-graph queues: key -> dict with the value sequence array
-        # seq[:L] = current contents, seq[L:L+K] filled by the producer.
-        # Keys: ("f", fifo) / ("s", slot) over [pe, port, lane], ("p", pe)
-        # and ("q", pe * C + lane).
-        queues: Dict[tuple, dict] = {}
-
-        def get_queue(key):
-            q = queues.get(key)
-            if q is not None:
-                return q
-            kind, i = key
-            if kind == "f":
-                L = int(self.flen[i])
-                base = i * cap
-                contents = self.fval[base + (self.fhead[i] - base + np.arange(L)) % cap]
-            elif kind == "s":
-                L = 1 if self.socc[i] else 0
-                contents = self.sval[i : i + 1][:L]
-            elif kind == "p":
-                h = int(self.pbase[i] + self.phead[i])
-                L = int(self.ptail[i] - self.phead[i])
-                contents = self.pval[h : h + L]
-            else:  # "q"
-                h = int(self.qhead[i])
-                L = int(self.qtail[i]) - h
-                contents = self.qval[i * self.Q + (h + np.arange(L)) % self.Q]
-            seq = np.empty(L + K, dtype=np.float64)
-            seq[:L] = contents
-            q = {"seq": seq, "L": L, "filled": 0, "producer": None,
-                 "consumer": None, "pushes": 0, "pops": 0}
-            queues[key] = q
-            return q
-
-        # Nodes: (process(lo, hi), in_queue or None).  Builders below
-        # also validate stride-ineligible details and may abort.
-
-        def add_node(fn, in_q, out_qs):
-            node = {"fn": fn, "in": in_q, "outs": out_qs, "done": 0}
-            nodes.append(node)
-            if in_q is not None:
-                in_q["consumer"] = node
-                in_q["pops"] += 1
-            for q in out_qs:
-                q["producer"] = node
-                q["pushes"] += 1
-            return node
-
-        def passthrough(node):
-            def fn(lo, hi):
-                seg = node["in"]["seq"][lo:hi]
-                for q in node["outs"]:
-                    q["seq"][q["L"] + lo : q["L"] + hi] = seg
-                    q["filled"] = hi
-            return fn
-
-        # Drain nodes: pending -> fifo[RAMP].
-        for pe in np.nonzero(self.sig_drain >= 0)[0].tolist():
-            lane = int(self.sig_drain[pe])
-            node = add_node(None, get_queue(("p", pe)),
-                            [get_queue(("f", pe * 5 * C + lane))])
-            node["fn"] = passthrough(node)
-
-        # Deliver nodes: staged -> neighbor fifo.
-        dpes, dp4 = np.nonzero(self.sig_del >= 0)
-        del_slots = (dpes * 5 + dp4 + 1) * C + self.sig_del[dpes, dp4]
-        for s in del_slots.tolist():
-            node = add_node(None, get_queue(("s", s)),
-                            [get_queue(("f", int(self.s_dst[s])))])
-            node["fn"] = passthrough(node)
-
-        # Accept nodes: fifo -> staged slots and/or the proc in-queue.
-        rpes, rports = np.nonzero(self.sig_route >= 0)
-        lanes = self.sig_route[rpes, rports]
-        for pe, port, lane in zip(rpes.tolist(), rports.tolist(), lanes.tolist()):
-            pc = pe * C + lane
-            outs = [get_queue(("s", int(s)))
-                    for s in self.pc_out[pc][self.fwd_out[pc]]]
-            if self.fwd_ramp[pc]:
-                outs.append(get_queue(("q", pc)))
-            node = add_node(None, get_queue(("f", (pe * 5 + port) * C + lane)),
-                            outs)
-            node["fn"] = passthrough(node)
-
-        # Processor nodes.
-        buf = self.buf1
-        for pe in np.nonzero(self.sig_proc > 0)[0].tolist():
-            ox = int(self.ox[pe])
-            kind = int(self.kind[pe])
-            pr = int(self.prog[pe])
-            if kind == K_SEND:
-                off = int(self.op_buf[ox]) + pr
-                outq = get_queue(("p", pe))
-                vals = buf[off : off + K].copy()
-
-                def send_fn(lo, hi, outq=outq, vals=vals):
-                    outq["seq"][outq["L"] + lo : outq["L"] + hi] = vals[lo:hi]
-                    outq["filled"] = hi
-                add_node(send_fn, None, [outq])
-            elif kind == K_RECV:
-                ln = int(self.op_len[ox])
-                k0 = int(self.op_buf[ox]) + pr % ln
-                inq = get_queue(("q", int(self.op_q[ox])))
-                cmb = bool(self.op_comb[ox])
-                uf = self._combine_ufunc
-
-                def recv_fn(lo, hi, k0=k0, inq=inq, cmb=cmb, uf=uf):
-                    seg = inq["seq"][lo:hi]
-                    dst = buf[k0 + lo : k0 + hi]
-                    if not cmb:
-                        dst[:] = seg
-                    elif uf is None:
-                        dst += seg
-                    else:
-                        uf(dst, seg, out=dst)
-                add_node(recv_fn, inq, [])
-            elif kind == K_RRS:
-                k0 = int(self.op_buf[ox]) + pr
-                inq = get_queue(("q", int(self.op_q[ox])))
-                outq = get_queue(("p", pe))
-                uf = self._combine_ufunc
-
-                def rrs_fn(lo, hi, k0=k0, inq=inq, outq=outq, uf=uf):
-                    seg = inq["seq"][lo:hi]
-                    dst = buf[k0 + lo : k0 + hi]
-                    if uf is None:
-                        dst += seg
-                    else:
-                        uf(dst, seg, out=dst)
-                    outq["seq"][outq["L"] + lo : outq["L"] + hi] = dst
-                    outq["filled"] = hi
-                add_node(rrs_fn, inq, [outq])
-            elif kind == K_SENDRECV:
-                L = int(self.op_len[ox])
-                sent, recvd = divmod(pr, L + 1)
-                code = int(self.sig_proc[pe])
-                sending, recving = bool(code & 16), bool(code & 32)
-                soff = int(self.op_buf[ox])
-                roff = int(self.op_buf2[ox])
-                if sending and recving:
-                    # The seeded send values must not alias the recv
-                    # writes; disjoint ranges or no stride.
-                    s0, s1 = soff + sent, soff + sent + K
-                    r0, r1 = roff + recvd, roff + recvd + K
-                    if s0 < r1 and r0 < s1:
-                        return False
-                if sending:
-                    outq = get_queue(("p", pe))
-                    vals = buf[soff + sent : soff + sent + K].copy()
-
-                    def sr_send(lo, hi, outq=outq, vals=vals):
-                        outq["seq"][outq["L"] + lo : outq["L"] + hi] = vals[lo:hi]
-                        outq["filled"] = hi
-                    add_node(sr_send, None, [outq])
-                if recving:
-                    k0 = roff + recvd
-                    inq = get_queue(("q", int(self.op_q[ox])))
-                    cmb = bool(self.op_comb[ox])
-                    uf = self._combine_ufunc
-
-                    def sr_recv(lo, hi, k0=k0, inq=inq, cmb=cmb, uf=uf):
-                        seg = inq["seq"][lo:hi]
-                        dst = buf[k0 + lo : k0 + hi]
-                        if not cmb:
-                            dst[:] = seg
-                        elif uf is None:
-                            dst += seg
-                        else:
-                            uf(dst, seg, out=dst)
-                    add_node(sr_recv, inq, [])
-            else:
-                return False
-
-        # Propagate: each node consumes its input prefix as it becomes
-        # available and extends its outputs; loops always cross at least
-        # one occupied queue, so this converges.  Producers go before
-        # their consumers (every node has at most one input), so outside
-        # loops one round suffices.
-        todo = []
-        stack = [node for node in nodes
-                 if node["in"] is None or node["in"]["producer"] is None]
-        while stack:
-            node = stack.pop()
-            node["seen"] = True
-            todo.append(node)
-            stack.extend(q["consumer"] for q in node["outs"]
-                         if q["consumer"] is not None)
-        todo += [node for node in nodes if "seen" not in node]
-        while todo:
-            progress = False
-            nxt = []
-            for node in todo:
-                inq = node["in"]
-                avail = K if inq is None else min(K, inq["L"] + inq["filled"])
-                if avail > node["done"]:
-                    node["fn"](node["done"], avail)
-                    node["done"] = avail
-                    progress = True
-                if node["done"] < K:
-                    nxt.append(node)
-            todo = nxt
-            if todo and not progress:  # pragma: no cover - guarded by bounds
-                raise SimulationError("stride propagation failed to converge")
-
-        # -- write back final state -------------------------------------------
-        for (kind, i), q in queues.items():
-            if kind == "f":
-                L = q["L"]
-                base = i * cap
-                self.fhead[i] = base
-                self.ftail[i] = base + L % cap
-                if L:
-                    self.fval[base : base + L] = q["seq"][K : K + L]
-            elif kind == "s":
-                if q["L"]:
-                    self.sval[i] = q["seq"][K]
-            elif kind == "p":
-                b = int(self.pbase[i])
-                h, tl = b + int(self.phead[i]), b + int(self.ptail[i])
-                L = tl - h
-                lane = int(self.pcol[h]) if L else int(self.pcol[h - 1])
-                self.pval[tl : tl + K] = q["seq"][L : L + K]
-                self.pcol[tl : tl + K] = lane
-                self.pctrl[tl : tl + K] = False
-                self.ptime[tl : tl + K] = t + 2 + TR + np.arange(K)
-                self.phead[i] += K
-                self.ptail[i] += K
-            else:  # "q"
-                h, tl = int(self.qhead[i]), int(self.qtail[i])
-                L = tl - h
-                kpush = q["pushes"] * K
-                kpop = q["pops"] * K
-                Lf = L + kpush - kpop
-                if Lf + 1 > self.Q:
-                    self._grow_q(Lf + 1)
-                Q = self.Q
-                # Rebuild the live tail in place: entry j of the final
-                # contents is concat(contents, pushed)[kpop + j].
-                nh = h + kpop
-                nt = tl + kpush
-                if Lf:
-                    src = kpop + np.arange(Lf)
-                    ready = np.where(
-                        src < L,
-                        self.qready[i * Q + (h + np.minimum(src, max(L - 1, 0))) % Q],
-                        t + (src - L) + 1 + TR,
-                    )
-                    pos = i * Q + (nh + np.arange(Lf)) % Q
-                    self.qval[pos] = q["seq"][src]
-                    self.qready[pos] = ready
-                self.qhead[i] = nh
-                self.qtail[i] = nt
+        # Balanced FIFOs and staged slots end the window as they began:
+        # same lengths, and (no control wavelet in flight) all data.
+        # A balanced pending queue takes K emits and drains K entries.
+        times = t + 2 + TR + np.arange(K)
+        for pe in pop[p_key:q_key].nonzero()[0].tolist():
+            b = int(self.pbase[pe])
+            h, tl = b + int(self.phead[pe]), b + int(self.ptail[pe])
+            self.pcol[tl : tl + K] = self.pcol[h if tl > h else h - 1]
+            self.ptime[tl : tl + K] = times
+            self.phead[pe] += K
+            self.ptail[pe] += K
+        # An in-queue gains K entries per push, the m-th maturing at
+        # t + 1 + m + TR, and loses K per pop.
+        qpush, qpop = push[q_key:], pop[q_key:]
+        for i in (qpush + qpop).nonzero()[0].tolist():
+            h, tl = int(self.qhead[i]), int(self.qtail[i])
+            nh, nt = h + int(qpop[i]) * K, tl + int(qpush[i]) * K
+            if nt - nh + 1 > self.Q:
+                self._grow_q(nt - nh + 1)
+            if nt > tl:
+                ctr = np.arange(max(tl, nh), nt)
+                self.qready[i * self.Q + ctr % self.Q] = ctr - tl + t + 1 + TR
+            self.qhead[i] = nh
+            self.qtail[i] = nt
 
         # -- counters, rules, op state -----------------------------------------
         self.energy += len(del_slots) * K
         if len(del_slots):
             self.link_loads[self.f_link[del_slots]] += K
 
-        if len(rpes):
-            pc = rpes * C + lanes
-            rem = self.r_rem[pc]
+        if len(rpc):
+            rem = self.r_rem[rpc]
             fin = rem > 0
             new_rem = np.where(fin, rem - K, rem)
-            self.r_rem[pc] = new_rem
+            self.r_rem[rpc] = new_rem
             adv = fin & (new_rem == 0)
             if adv.any():
-                self._advance_rules(pc[adv])
+                self._advance_rules(rpc[adv])
 
         end = t + K
-        for pe in np.nonzero(self.sig_proc > 0)[0].tolist():
+        for pe in act.tolist():
             ox = int(self.ox[pe])
             if self.kind[pe] == K_SENDRECV:
                 L = int(self.op_len[ox])

@@ -147,7 +147,8 @@ def test_wrong_shape_on_a_later_point_raises_as_execute_does():
 
 
 def test_refused_plan_simulates_every_point(simulations):
-    """A plan the value pass refuses is simulated at every point."""
+    """A plan the value pass refuses runs on the reference, so it is
+    simulated at every point."""
     spec = CollectiveSpec("allreduce", Grid(1, 2), 4, algorithm="ring")
     PLAN_CACHE.store(spec, Plan(spec=spec, schedule=_overlapping_exchange(4),
                                 algorithm="ring", grid=spec.grid, b=spec.b,
@@ -156,4 +157,5 @@ def test_refused_plan_simulates_every_point(simulations):
              for seed in (1, 2, 1)]
     outs = run_many([spec] * 3, datas, backend="vectorized")
     assert len(simulations) == 3
+    assert {out.sim.backend for out in outs} == {"reference"}
     _assert_same(outs, _per_point([spec] * 3, datas))

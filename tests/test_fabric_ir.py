@@ -12,6 +12,7 @@ from repro.fabric.ir import (
     Schedule,
     Send,
     SendRecv,
+    lower_arrays,
     merge_parallel,
     merge_phases,
     merge_sequential,
@@ -64,6 +65,13 @@ class TestOps:
             RecvReduceSend(in_color=0, out_color=1, length=-3)
         with pytest.raises(ValueError):
             SendRecv(send_color=0, recv_color=1, length=0)
+
+    def test_sendrecv_colors_are_used(self):
+        s = Schedule(grid=Grid(1, 2), buffer_size=4)
+        s.program(0).ops.append(SendRecv(send_color=7, recv_color=7, length=2))
+        assert s.colors_used() == [7]
+        assert s.stats()["colors"] == 1
+        assert lower_arrays(s).colors == [7]
 
 
 class TestScheduleValidation:

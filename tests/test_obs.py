@@ -142,7 +142,8 @@ def test_disabled_span_is_shared_noop_and_records_nothing():
 
 
 def test_repeated_spec_run_many_is_inert_when_off():
-    """The value pass behind repeated points records only when on."""
+    """The value pass behind every point records only when on: the
+    simulated first point runs it for its buffers, the repeats alone."""
     from repro.core.api import run_many
 
     spec = CollectiveSpec("reduce", Grid(1, 8), 8)
@@ -163,9 +164,9 @@ def test_repeated_spec_run_many_is_inert_when_off():
         run_many([spec] * 3, datas, backend="vectorized")
     finally:
         spans.set_enabled(False)
-    assert values_series(METRICS.delta(before)) == {"fabric.values.points": 2}
+    assert values_series(METRICS.delta(before)) == {"fabric.values.points": 3}
     assert [e["name"] for e in spans.collector().events
-            if e["name"] == "fabric.values"] == ["fabric.values"] * 2
+            if e["name"] == "fabric.values"] == ["fabric.values"] * 3
 
 
 def test_enabled_spans_nest_and_capture_args():

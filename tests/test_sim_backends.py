@@ -1,9 +1,12 @@
 """Differential tests: vectorized backend vs the reference oracle.
 
-The vectorized array-phase backend (:mod:`repro.fabric.vectorized`) is
-only allowed to exist because it is bit-identical to the reference
-simulator or refuses the schedule (``UnsupportedSchedule`` → automatic
-fallback).  These tests enforce that contract three ways:
+The vectorized backend — the timing-only array stepper
+(:mod:`repro.fabric.vectorized`) plus the clock-free value pass for the
+buffers, joined by ``simulate(backend="vectorized")`` — is only allowed
+to exist because it is bit-identical to the reference simulator, or
+hands the run to it for one of ``simulator.FALLBACKS``.  These tests
+enforce that contract three ways, every comparison through ``simulate``
+with the backend tag asserted:
 
 * a sweep over every collective kind × registered algorithm × 1D/2D
   grids, comparing full :class:`~repro.fabric.simulator.SimResult`s;
@@ -17,18 +20,20 @@ The zoo and the chain fuzz run twice: as shipped, and with
 ``REPRO_SIM_STRIDE=0`` so the stepped phases meet the oracle on cycles
 a stride window would otherwise skip.
 
-The zoo and the fuzz also check a law each backend must keep on its
-own: simulated timing does not depend on input values.  Normal, NaN,
-±inf and −0.0 inputs must give the same ``SimResult`` in every field
-but ``buffers`` — what lets the tuner time a spec on any input.
+The zoo and the fuzz also check a law the reference must keep:
+simulated timing does not depend on input values.  Normal, NaN, ±inf
+and −0.0 inputs must give the same ``SimResult`` in every field but
+``buffers`` — what lets the tuner time a spec on any input, and what
+lets the vectorized stepper leave values out (it never sees them).
 
-Plus the vectorized backend's cycle accounting (every simulated cycle
-is stepped, strided or jumped over), and the backend-selector plumbing
-itself: ``REPRO_SIM_BACKEND``, explicit ``backend=``, unknown-name
-rejection and fallback tagging.
+Plus the stepper's cycle accounting (every simulated cycle is stepped,
+strided or jumped over), that it holds no payload array, and the
+backend-selector plumbing itself: ``REPRO_SIM_BACKEND``, explicit
+``backend=``, unknown-name rejection, and each fallback reason.
 """
 
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -47,18 +52,16 @@ from repro.fabric.ir import (
     Send,
 )
 from repro.fabric.simulator import (
+    FALLBACKS,
     SIM_BACKENDS,
     DeadlockError,
     FabricSimulator,
     SimulationError,
     resolve_backend,
+    set_fallback_hook,
     simulate,
 )
-from repro.fabric.vectorized import (
-    UnsupportedSchedule,
-    VectorizedSimulator,
-    stride_enabled,
-)
+from repro.fabric.vectorized import VectorizedSimulator, stride_enabled
 from repro.model.params import MachineParams
 from repro.obs import METRICS, use_telemetry
 
@@ -105,15 +108,26 @@ def _assert_same(ref, vec, label=""):
         )
 
 
-def _differential(schedule, inputs, **kwargs):
-    """Assert reference and vectorized agree on ``schedule`` outright.
+class _Vectorized:
+    """``simulate(backend="vectorized")`` behind the simulator-class
+    interface :func:`_outcome` drives: the timing-only stepper plus the
+    value pass.  The run must *not* fall back — every schedule our
+    collective builders emit stays on the fast path; silent fallback
+    would quietly void the perf win."""
 
-    The vectorized backend must *support* the schedule — every schedule
-    our collective builders emit stays on the fast path; silent fallback
-    would quietly void the perf win.
-    """
+    def __init__(self, schedule, **kwargs):
+        self.schedule, self.kwargs = schedule, kwargs
+
+    def run(self):
+        result = simulate(self.schedule, backend="vectorized", **self.kwargs)
+        assert result.backend == "vectorized", self.schedule.name
+        return result
+
+
+def _differential(schedule, inputs, **kwargs):
+    """Assert reference and vectorized agree on ``schedule`` outright."""
     ref = _outcome(FabricSimulator, schedule, inputs, **kwargs)
-    vec = _outcome(VectorizedSimulator, schedule, inputs, **kwargs)
+    vec = _outcome(_Vectorized, schedule, inputs, **kwargs)
     _assert_same(ref, vec, schedule.name)
 
 
@@ -184,21 +198,19 @@ def _timing(outcome):
 
 
 def _assert_timing_ignores_values(schedule, seed, **kwargs):
-    for factory in (FabricSimulator, VectorizedSimulator):
-        timings = {}
-        for label, values in _VALUE_CLASSES.items():
-            rng = np.random.default_rng(seed)
-            inputs = {pe: values(rng, max(schedule.buffer_size, 1))
-                      for pe in schedule.programs}
-            with np.errstate(invalid="ignore"):     # inf + -inf is NaN
-                timings[label] = _timing(
-                    _outcome(factory, schedule, inputs, **kwargs)
-                )
-        for label, timing in timings.items():
-            assert timing == timings["normal"], (
-                f"{factory.__name__} {schedule.name}: {label} inputs "
-                "changed the timing"
+    timings = {}
+    for label, values in _VALUE_CLASSES.items():
+        rng = np.random.default_rng(seed)
+        inputs = {pe: values(rng, max(schedule.buffer_size, 1))
+                  for pe in schedule.programs}
+        with np.errstate(invalid="ignore"):     # inf + -inf is NaN
+            timings[label] = _timing(
+                _outcome(FabricSimulator, schedule, inputs, **kwargs)
             )
+    for label, timing in timings.items():
+        assert timing == timings["normal"], (
+            f"{schedule.name}: {label} inputs changed the timing"
+        )
 
 
 _ZOO = pytest.mark.parametrize(
@@ -281,7 +293,7 @@ def test_deadlock_parity_exact_message():
     # Receiver waits for wavelets that the (removed) sender never emits.
     del s.programs[1]
     ref = _outcome(FabricSimulator, s, {})
-    vec = _outcome(VectorizedSimulator, s, {})
+    vec = _outcome(_Vectorized, s, {})
     assert ref[0] == vec[0] == "deadlock"
     assert ref[1] == vec[1]
 
@@ -292,7 +304,7 @@ def test_missing_rule_parity():
     s.programs[0].router.clear()
     s.programs[0].ops.clear()
     ref = _outcome(FabricSimulator, s, {1: np.ones(1)})
-    vec = _outcome(VectorizedSimulator, s, {1: np.ones(1)})
+    vec = _outcome(_Vectorized, s, {1: np.ones(1)})
     _assert_same(ref, vec, "missing-rule")
     assert ref[0] == "simerror"
 
@@ -304,7 +316,7 @@ def test_off_grid_staging_parity():
     p0.router[0] = [RouterRule(accept=Port.RAMP, forward=(Port.WEST,), count=1)]
     p0.ops.append(Send(color=0, length=1))
     ref = _outcome(FabricSimulator, s, {0: np.ones(1)})
-    vec = _outcome(VectorizedSimulator, s, {0: np.ones(1)})
+    vec = _outcome(_Vectorized, s, {0: np.ones(1)})
     _assert_same(ref, vec, "off-grid")
     assert ref[0] == "simerror"
 
@@ -395,11 +407,11 @@ def test_fuzz_chain_timing_ignores_values(case):
 # ---------------------------------------------------------------------------
 
 
-def _cycle_split(schedule, inputs, **kwargs):
+def _cycle_split(schedule, **kwargs):
     """``(cycles, {stepped, strided, jumped})`` of one telemetered run."""
     before = METRICS.snapshot()
     with use_telemetry() as collected:
-        result = VectorizedSimulator(schedule, inputs=inputs, **kwargs).run()
+        result = VectorizedSimulator(schedule, **kwargs).run()
     delta = METRICS.delta(before)
     split = {kind: delta.get(f"sim.cycles.{kind}", 0)
              for kind in ("stepped", "strided", "jumped")}
@@ -412,15 +424,14 @@ def _cycle_split(schedule, inputs, **kwargs):
 def test_cycle_split_counts_idle_jumps():
     s = _two_pe(4)
     s.programs[1].ops.insert(0, Delay(cycles=40))
-    cycles, split = _cycle_split(s, _random_inputs(s, 0))
+    cycles, split = _cycle_split(s)
     assert split["jumped"] > 0  # the Delay is fast-forwarded, not stepped
     assert split["stepped"] + split["strided"] + split["jumped"] == cycles
 
 
 def test_cycle_split_on_the_1d_chain():
     s = build_schedule("reduce", Grid(1, 64), "chain", 192)
-    cycles, split = _cycle_split(s, _random_inputs(s, 5),
-                                 combine=REDUCE_OPS["sum"])
+    cycles, split = _cycle_split(s)
     assert split["stepped"] + split["strided"] + split["jumped"] == cycles
 
 
@@ -428,7 +439,7 @@ def test_cycle_split_is_not_published_when_off():
     s = _two_pe(4)
     s.programs[1].ops.insert(0, Delay(cycles=40))
     before = METRICS.snapshot()
-    VectorizedSimulator(s, inputs=_random_inputs(s, 0)).run()
+    VectorizedSimulator(s).run()
     delta = METRICS.delta(before)
     assert all(value == 0 for key, value in delta.items()
                if key.startswith("sim.cycles"))
@@ -465,21 +476,30 @@ def test_simulate_tags_backend(monkeypatch):
     assert env.backend == "reference"
 
 
+@contextmanager
+def _fallbacks():
+    """The reasons of the fallbacks inside the block, in order."""
+    reasons = []
+    previous = set_fallback_hook(lambda schedule, reason: reasons.append(reason))
+    try:
+        yield reasons
+    finally:
+        set_fallback_hook(previous)
+
+
 def test_unsupported_schedule_falls_back():
-    # A combine callable the vectorized core has no ufunc mapping for
-    # must be refused by the backend and silently served by the oracle.
+    # A combine callable the value pass has no ufunc mapping for must be
+    # refused and silently served by the oracle.
     s = build_schedule("reduce", Grid(1, 4), "tree", 4)
     inputs = _random_inputs(s, 1)
     odd = lambda a, b: a - b  # noqa: E731
-    with pytest.raises(UnsupportedSchedule):
-        VectorizedSimulator(
-            s, inputs={k: v.copy() for k, v in inputs.items()}, combine=odd
+    with _fallbacks() as reasons:
+        result = simulate(
+            s, inputs={k: v.copy() for k, v in inputs.items()},
+            backend="vectorized", combine=odd,
         )
-    result = simulate(
-        s, inputs={k: v.copy() for k, v in inputs.items()},
-        backend="vectorized", combine=odd,
-    )
     assert result.backend == "reference"
+    assert reasons == ["unsupported_combine"]
 
 
 def test_tracer_attached_falls_back_to_reference():
@@ -491,13 +511,77 @@ def test_tracer_attached_falls_back_to_reference():
     s = build_schedule("reduce", Grid(1, 4), "tree", 4)
     inputs = _random_inputs(s, 3)
     tracer = Tracer()
-    with pytest.raises(UnsupportedSchedule, match="tracer"):
-        VectorizedSimulator(
-            s, inputs={k: v.copy() for k, v in inputs.items()}, tracer=tracer
+    with _fallbacks() as reasons:
+        result = simulate(
+            s, inputs={k: v.copy() for k, v in inputs.items()},
+            backend="vectorized", tracer=tracer,
         )
-    result = simulate(
-        s, inputs={k: v.copy() for k, v in inputs.items()},
-        backend="vectorized", tracer=tracer,
-    )
     assert result.backend == "reference"
+    assert reasons == ["tracer"]
     assert tracer.events  # the fallback run actually traced
+
+
+@dataclass(frozen=True)
+class _UnknownOp:
+    """An op type the array lowering does not know."""
+
+
+def _refused(reason):
+    """A run refused for ``reason``, as ``(schedule, simulate kwargs)``."""
+    s = _two_pe(4)
+    kwargs = {}
+    if reason == "tracer":
+        from repro.fabric.trace import Tracer
+
+        kwargs["tracer"] = Tracer()
+    elif reason == "ramp_latency":
+        kwargs["params"] = MachineParams(ramp_latency=0)
+    elif reason == "op_type":
+        s.programs[0].ops.append(_UnknownOp())
+    elif reason == "unsupported_combine":
+        kwargs["combine"] = lambda a, b: a - b
+    elif reason == "sendrecv_overlap":
+        from test_values import _overlapping_exchange
+
+        s = _overlapping_exchange(4)
+    elif reason == "op_past_buffer":
+        s.programs[1].ops[0] = Send(color=0, length=4, offset=1)
+    return s, kwargs
+
+
+def _result_or_error(run):
+    try:
+        return run()
+    except Exception as err:  # the oracle's verdict, whatever it is
+        return type(err)
+
+
+@pytest.mark.parametrize("reason", FALLBACKS)
+def test_each_fallback_reason_lands_on_the_reference(reason):
+    s, kwargs = _refused(reason)
+    inputs = _random_inputs(s, 0)
+
+    def copies():
+        return {pe: vec.copy() for pe, vec in inputs.items()}
+
+    with _fallbacks() as reasons:
+        got = _result_or_error(lambda: simulate(
+            s, inputs=copies(), backend="vectorized", **kwargs))
+    ref = _result_or_error(
+        lambda: FabricSimulator(s, inputs=copies(), **kwargs).run())
+    assert reasons == [reason]
+    if isinstance(ref, type):
+        assert got is ref
+    else:
+        assert got.backend == "reference"
+        _assert_same(("ok", ref), ("ok", got), reason)
+
+
+def test_stepper_holds_no_payload_arrays():
+    """The stepper is timing-only: no float64 array over the buffer,
+    FIFO, staged-slot, pending or in-queue space."""
+    s = build_schedule("reduce", Grid(4, 4), "tree", 64)
+    sim = VectorizedSimulator(s)
+    floats = [name for name, value in vars(sim).items()
+              if isinstance(value, np.ndarray) and value.dtype == np.float64]
+    assert floats == []

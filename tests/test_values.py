@@ -2,7 +2,9 @@
 simulator backends.
 
 The pass may only stand in for a simulation because its buffers are
-bit-identical to what either backend computes.  Buffers are compared as
+bit-identical to what the reference computes, and to what
+``simulate(backend="vectorized")`` — the timing-only stepper with this
+pass for the buffers — returns, tag asserted.  Buffers are compared as
 ``.view(np.int64)`` so NaN payloads and the sign of zero count:
 
 * the collective zoo × the four reduce ops × the four input value
@@ -12,7 +14,8 @@ bit-identical to what either backend computes.  Buffers are compared as
   error (the draws that deadlock must be refused as ``no_progress``);
 * a hand-built ``SendRecv`` whose send and receive ranges overlap is
   refused as ``sendrecv_overlap`` (``tests/test_execute_batch.py``
-  checks that ``run_many`` then simulates it).
+  checks that ``run_many`` then simulates it, on the reference);
+* a finished pass leaves no reference cycle for the collector.
 """
 
 import numpy as np
@@ -26,13 +29,14 @@ from repro.core.registry import REDUCE_OPS, CollectiveSpec
 from repro.fabric.geometry import Grid, Port, row_grid
 from repro.fabric.ir import RouterRule, Schedule, SendCtrl, SendRecv
 from repro.fabric.simulator import FabricSimulator
+from repro.fabric.simulator import simulate
 from repro.fabric.values import REFUSALS, ValuesRefused, final_buffers
-from repro.fabric.vectorized import VectorizedSimulator
 from repro.obs import spans
 from repro.obs.metrics import METRICS
 from test_sim_backends import (
     _VALUE_CLASSES,
     _ZOO,
+    _Vectorized,
     _chain_case,
     _chain_schedule,
     _outcome,
@@ -51,7 +55,7 @@ def _bits(buffers):
 
 
 def _assert_values_match(schedule, inputs, label,
-                         factories=(FabricSimulator, VectorizedSimulator),
+                         factories=(FabricSimulator, _Vectorized),
                          **kwargs):
     """The pass equals every backend in ``factories``, or they all fail
     and the pass refuses."""
@@ -73,9 +77,9 @@ def _assert_values_match(schedule, inputs, label,
 @_ZOO
 def test_zoo_values_bit_identical(kind, grid, algorithm, b):
     """Every op × value class against the reference; the vectorized
-    backend (~20x the cost on these small grids) takes every value class
-    under one op per case, rotating over the ops along the zoo, so each
-    op × class pair still meets it on twenty or more schedules."""
+    backend takes every value class under one op per case, rotating over
+    the ops along the zoo, so each op × class pair still meets it on
+    twenty or more schedules (``test_golden_values`` runs it on all)."""
     try:
         schedule = build_schedule(kind, grid, algorithm, b)
     except ValueError:
@@ -85,7 +89,7 @@ def test_zoo_values_bit_identical(kind, grid, algorithm, b):
     for op in ops:
         factories = (FabricSimulator,)
         if op == vectorized_op:
-            factories += (VectorizedSimulator,)
+            factories += (_Vectorized,)
         for label, values in _VALUE_CLASSES.items():
             rng = np.random.default_rng(b)
             inputs = {pe: values(rng, max(schedule.buffer_size, 1))
@@ -183,3 +187,28 @@ def test_telemetry_counts_points_and_refusals():
     assert delta.get("fabric.values.refused{reason=sendrecv_overlap}") == 1
     assert sum(e["name"] == "fabric.values" for e in got.events
                if e["ph"] == "X") == 2
+
+
+@pytest.mark.parametrize("kind,grid,b,algorithm", [
+    ("broadcast", Grid(16, 16), 4096, "auto"),
+    ("reduce", Grid(16, 16), 1024, "tree"),
+])
+def test_pass_leaves_no_reference_cycles(kind, grid, b, algorithm):
+    """With the cyclic collector off, a finished pass — alone or inside a
+    vectorized simulation — leaves nothing for it to collect."""
+    import gc
+
+    spec = CollectiveSpec(kind, grid, b, algorithm=algorithm)
+    schedule = plan(spec).schedule
+    inputs = _prepare_inputs(spec, seeded_input(spec, 0))
+    runs = (lambda: final_buffers(schedule, inputs),
+            lambda: simulate(schedule, inputs, backend="vectorized"))
+    for run in runs:
+        run()                               # warm-up: memos, lowering
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
