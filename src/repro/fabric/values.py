@@ -329,23 +329,28 @@ def _step(op) -> Tuple[Optional[int], Optional[int], Optional[int]]:
     raise TypeError(f"unknown op {op!r}")
 
 
-def _ends(key: Optional[tuple], wires, resolved, channel,
-          seen: frozenset = frozenset()) -> _Targets:
-    """The channels a push into ``key`` lands in: through ``wires`` (input
-    key -> forward keys) to the first key that is not a wire, memoized in
-    ``resolved``.  A module function, not a closure that calls itself,
-    so a finished pass leaves no reference cycle behind."""
-    found = resolved.get(key)
-    if found is not None:
-        return found
-    if key in wires and key not in seen:
-        found = tuple(end for nxt in wires[key]
-                      for end in _ends(nxt, wires, resolved, channel,
-                                       seen | {key}))
-    else:
-        found = (None if key is None else channel(key),)
-    resolved[key] = found
-    return found
+def _ends(root: Optional[tuple], wires, resolved, channel) -> _Targets:
+    """The channels a push into ``root`` lands in: through ``wires``
+    (input key -> forward keys) to the first key that is not a wire,
+    memoized in ``resolved``.  A wire that leads back onto the path being
+    resolved ends there.  The walk keeps its own stack, since a row of
+    wires is as deep as the grid is long."""
+    on_path = set()
+    stack = [(root, False)]
+    while stack:
+        key, expanded = stack.pop()
+        if key in resolved:
+            continue
+        if expanded:
+            resolved[key] = tuple(end for nxt in wires[key]
+                                  for end in resolved[nxt])
+        elif key in wires and key not in on_path:
+            on_path.add(key)
+            stack.append((key, True))
+            stack.extend((nxt, False) for nxt in wires[key])
+        else:
+            resolved[key] = (None if key is None else channel(key),)
+    return resolved[root]
 
 
 def _network(schedule: Schedule, buffers: Dict[int, np.ndarray], ufunc):

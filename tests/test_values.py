@@ -27,7 +27,7 @@ from repro.collectives import build_schedule, schedule_tree_reduce
 from repro.core.api import _prepare_inputs, plan, seeded_input
 from repro.core.registry import REDUCE_OPS, CollectiveSpec
 from repro.fabric.geometry import Grid, Port, row_grid
-from repro.fabric.ir import RouterRule, Schedule, SendCtrl, SendRecv
+from repro.fabric.ir import Recv, RouterRule, Schedule, Send, SendCtrl, SendRecv
 from repro.fabric.simulator import FabricSimulator
 from repro.fabric.simulator import simulate
 from repro.fabric.values import REFUSALS, ValuesRefused, final_buffers
@@ -212,3 +212,21 @@ def test_pass_leaves_no_reference_cycles(kind, grid, b, algorithm):
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def test_long_wire_row_resolves_without_recursion():
+    """A push through a row of static routers lands at its end however
+    long the row (a ring's wrap-around crosses every PE of a 1×512 row)."""
+    n = 3000
+    s = Schedule(grid=Grid(1, n), buffer_size=1, name="wire-row")
+    s.program(n - 1).router[0] = [RouterRule(accept=Port.RAMP,
+                                             forward=(Port.WEST,))]
+    s.program(n - 1).ops.append(Send(color=0, length=1))
+    for pe in range(1, n - 1):
+        s.program(pe).router[0] = [RouterRule(accept=Port.EAST,
+                                              forward=(Port.WEST,))]
+    s.program(0).router[0] = [RouterRule(accept=Port.EAST,
+                                         forward=(Port.RAMP,))]
+    s.program(0).ops.append(Recv(color=0, length=1))
+    buffers = final_buffers(s, {n - 1: np.array([5.0])})
+    assert buffers[0][0] == 5.0
