@@ -8,7 +8,8 @@ serial path (one process, one schedule at a time) and writes
   (:class:`~repro.fabric.simulator.FabricSimulator`);
 * **vectorized** — :class:`~repro.fabric.vectorized.VectorizedSimulator`,
   which advances every PE per cycle with dense array phases and strides
-  over steady-state windows.
+  over steady-state windows, timing only, plus the clock-free value pass
+  (:mod:`repro.fabric.values`) for the buffers.
 
 Every point must agree bit for bit (cycles, energy, per-PE buffers,
 link loads, completion times) — the reference backend is the oracle,

@@ -49,6 +49,7 @@ from .ir import (
     Send,
     SendCtrl,
     SendRecv,
+    lower_arrays,
 )
 
 #: Sentinel payload marking a control wavelet in the router queues.
@@ -801,9 +802,10 @@ def _fallback(schedule: Schedule, params: MachineParams,
     if params.ramp_latency < 1:
         return "ramp_latency"
     try:
-        return values.refusal(schedule, kwargs.get("combine"))
+        lower_arrays(schedule)
     except TypeError:
         return "op_type"
+    return values.refusal(schedule, kwargs.get("combine"))
 
 
 def resolve_backend(backend: str | None = None) -> str:
@@ -850,6 +852,8 @@ def simulate(
 
 def _simulate_vectorized(schedule, inputs, params, combine=None, tracer=None,
                          **kwargs) -> SimResult:
+    """The stepper's timing with the value pass's buffers (``tracer`` is
+    ``None`` here: a traced run falls back)."""
     from .vectorized import VectorizedSimulator
 
     result = VectorizedSimulator(schedule, params=params, **kwargs).run()

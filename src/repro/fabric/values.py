@@ -312,19 +312,20 @@ class _Processor:
 
 
 def _step(op) -> Tuple[Optional[int], Optional[int], Optional[int]]:
-    """``(step code, color received, color sent)`` of a processor op."""
-    kind = type(op)
-    if kind is SendRecv:
+    """``(step code, color received, color sent)`` of a processor op,
+    dispatched like :func:`~repro.fabric.ir.lower_arrays` (subclasses
+    run as their base op)."""
+    if isinstance(op, SendRecv):
         return _SENDRECV, op.recv_color, op.send_color
-    if kind is Recv:
+    if isinstance(op, Recv):
         return _RECV, op.color, None
-    if kind is RecvReduceSend:
+    if isinstance(op, RecvReduceSend):
         return _RRS, op.in_color, op.out_color
-    if kind is Send:
+    if isinstance(op, Send):
         return _SEND, None, op.color
-    if kind is SendCtrl:
+    if isinstance(op, SendCtrl):
         return _CTRL_SEND, None, op.color
-    if kind is Delay or kind is SampleClock:
+    if isinstance(op, (Delay, SampleClock)):
         return None, None, None
     raise TypeError(f"unknown op {op!r}")
 

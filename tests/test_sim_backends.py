@@ -577,6 +577,17 @@ def test_each_fallback_reason_lands_on_the_reference(reason):
         _assert_same(("ok", ref), ("ok", got), reason)
 
 
+@dataclass
+class _SendSubclass(Send):
+    """A subclass of a known op: lowered, stepped and valued as a Send."""
+
+
+def test_op_subclass_runs_like_its_base():
+    s = _two_pe(3)
+    s.programs[1].ops[0] = _SendSubclass(color=0, length=3)
+    _differential(s, _random_inputs(s, 0))
+
+
 def test_stepper_holds_no_payload_arrays():
     """The stepper is timing-only: no float64 array over the buffer,
     FIFO, staged-slot, pending or in-queue space."""
