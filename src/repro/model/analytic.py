@@ -188,6 +188,11 @@ def two_phase_reduce_terms(p: int, b: int, group_size: int | None = None) -> Cos
     Phase 1 chain-reduces within ``ceil(P/S)`` groups of ``S`` consecutive
     PEs (groups assigned from the right end); phase 2 chain-reduces the
     group leaders.  ``S = sqrt(P)`` balances the two depths.
+
+    When ``S`` does not divide ``P`` the root's group is the short one:
+    the ``P - groups`` in-group hops and the leader chain's ``P - S``
+    links each carry ``B`` wavelets, which is the paper's
+    ``(S-1)B·groups + S·B·(groups-1)`` when ``S`` divides ``P``.
     """
     _validate(p, b)
     s = two_phase_group_size(p) if group_size is None else group_size
@@ -195,7 +200,7 @@ def two_phase_reduce_terms(p: int, b: int, group_size: int | None = None) -> Cos
         raise ValueError(f"group size {s} out of range for p={p}")
     groups = -(-p // s)
     depth = (s - 1) + (groups - 1)
-    energy = (s - 1) * b * groups + s * b * (groups - 1)
+    energy = b * ((p - groups) + (p - s))
     return CostTerms(
         energy=energy,
         distance=p - 1,

@@ -205,11 +205,4 @@ class TestModelProperties:
     def test_times_scale_monotonically(self, p, b):
         for name, fn in analytic.REDUCE_1D_TIMES.items():
             assert fn(p, b) <= fn(p, b + 16) + 1e-9
-            if name == "two_phase":
-                # The generalized (non-square P) grouping is only
-                # near-monotone in P: ceil-based group splits can make a
-                # slightly larger row marginally cheaper (Lemma 5.4 is
-                # stated for perfect squares).  Allow a small slack.
-                assert fn(p, b) <= 1.1 * fn(p + 4, b) + 1e-9
-            else:
-                assert fn(p, b) <= fn(p + 4, b) + 1e-9
+            assert fn(p, b) <= fn(p + 4, b) + 1e-9
