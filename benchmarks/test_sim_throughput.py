@@ -34,7 +34,6 @@ import time
 import numpy as np
 
 from repro.collectives import build_schedule
-from repro.core.registry import REDUCE_OPS
 from repro.fabric.geometry import Grid
 from repro.fabric.simulator import resolve_backend, simulate
 
@@ -64,11 +63,10 @@ def _inputs(schedule, rng):
     }
 
 
-def _run(schedule, inputs, backend, combine):
+def _run(schedule, inputs, backend):
     copies = {pe: buf.copy() for pe, buf in inputs.items()}
     start = time.perf_counter()
-    result = simulate(schedule, inputs=copies, backend=backend,
-                      combine=combine)
+    result = simulate(schedule, inputs=copies, backend=backend)
     return result, time.perf_counter() - start
 
 
@@ -92,12 +90,9 @@ def _case(kind, algorithm, grid, b, rng):
     """Time one spec through both backends; its row and the two times."""
     schedule = build_schedule(kind, grid, algorithm, b)
     inputs = _inputs(schedule, rng)
-    combine = (
-        REDUCE_OPS["sum"] if kind in ("reduce", "allreduce") else None
-    )
     label = f"{kind}/{algorithm}/{grid.rows}x{grid.cols}/b{b}"
-    ref, ref_s = _run(schedule, inputs, "reference", combine)
-    vec, vec_s = _run(schedule, inputs, "vectorized", combine)
+    ref, ref_s = _run(schedule, inputs, "reference")
+    vec, vec_s = _run(schedule, inputs, "vectorized")
     _assert_identical(ref, vec, label)
     row = {
         "case": label,

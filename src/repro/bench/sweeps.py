@@ -85,12 +85,6 @@ class SweepPoint:
     def predicted_us(self) -> float:
         return CS2.cycles_to_us(self.predicted_cycles)
 
-    @property
-    def measured_us(self) -> Optional[float]:
-        if self.measured_cycles is None:
-            return None
-        return CS2.cycles_to_us(self.measured_cycles)
-
 
 @dataclass
 class SweepResult:

@@ -353,8 +353,7 @@ def _execute_impl(
 def _replay(first: CollectiveOutcome, data: np.ndarray) -> CollectiveOutcome:
     """``first.plan`` executed on ``data`` without a simulation: the
     timing of ``first`` (simulated timing depends only on the schedule)
-    with buffers from the value pass, which cannot refuse a schedule
-    whose vectorized simulation ran."""
+    with buffers from the value pass, as every simulation gets them."""
     spec, done = first.plan.spec, first.sim
     inputs = _prepare_inputs(spec, data)
     buffers = final_buffers(first.plan.schedule, inputs, _combine_for(spec.op))
@@ -387,9 +386,10 @@ def execute_batch(
     The first point of each plan is simulated.  If that ran on the
     vectorized backend, the plan's later points take copies of its
     timing and get their buffers from the clock-free value pass
-    (:mod:`repro.fabric.values`), which is what a vectorized simulation
-    computes its buffers with too.  Points of a plan whose simulation
-    ran on the reference backend are simulated one by one.  ``timed``
+    (:mod:`repro.fabric.values`), which is what every simulation
+    computes its buffers with.  Points of a plan whose simulation ran on
+    the reference backend, the timing oracle, are simulated one by
+    one.  ``timed``
     holds outcomes already simulated for some of the plans (matched by
     ``outcome.plan`` identity, only ``result`` and ``sim.buffers``
     unused): every point of those plans replays them.

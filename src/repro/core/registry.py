@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple
 
+import numpy as np
 
 from ..autogen.hybrid import autogen_hybrid_time
 from ..collectives import COLLECTIVE_KINDS, build_schedule
@@ -53,24 +54,15 @@ __all__ = [
     "allreduce_2d_predict",
 ]
 
-#: Supported associative reduction operators ("sum" uses the simulator's
-#: fast path; the others are any-associative-op per the MPI semantics the
+#: Supported associative reduction operators, as the binary ufuncs the
+#: value pass combines with (any-associative-op per the MPI semantics the
 #: paper adopts in §2.1).
 REDUCE_OPS = {
-    "sum": None,
-    "max": max,
-    "min": min,
-    "prod": lambda a, b: a * b,
+    "sum": np.add,
+    "max": np.maximum,
+    "min": np.minimum,
+    "prod": np.multiply,
 }
-
-# Teach the value pass the ufunc equivalents of the registry's combine
-# callables (``sum``/``max``/``min`` are recognised structurally; the
-# ``prod`` lambda needs an explicit mapping).  Bit-exact: a*b on float64
-# is exactly np.multiply.
-import numpy as _np  # noqa: E402  (registration needs REDUCE_OPS above)
-from ..fabric.values import register_combine as _register_combine  # noqa: E402
-
-_register_combine(REDUCE_OPS["prod"], _np.multiply)
 
 
 @dataclass(frozen=True)

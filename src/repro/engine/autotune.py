@@ -21,11 +21,11 @@ Three pieces:
   (invalidating the plan cache, whose ``auto`` plans embed the ranking
   they were made under).
 
-Simulated cycle counts are data-independent — timing follows the
-schedule, not the values, a law ``tests/test_sim_backends.py`` checks
-on both backends for normal, NaN, ±inf and −0.0 inputs — so
+Simulated cycle counts are data-independent — neither timing engine
+is given the values (``tests/test_sim_backends.py`` checks both) — so
 :func:`tune` measures each candidate on one deterministic random input
-(:func:`repro.core.api.seeded_input`).
+(:func:`repro.core.api.seeded_input`), and measurements from either
+backend are the same cycles.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from ..core import planner, registry
 from ..core.api import seeded_input
 from ..core.cache import PLAN_CACHE
 from ..core.registry import CollectiveSpec
-from ..fabric.simulator import resolve_backend
 from .session import EngineSession, session_or_new
 from .store import TuneDB
 
@@ -49,21 +48,16 @@ class Tuner:
 
     Consulted by :func:`repro.core.planner.rank_spec`; answers with the
     DB's measured winner only when one exists for the (auto-normalized)
-    spec *and* it is among the feasible candidates being ranked *and*
-    it was measured on the active simulator backend (``backend=None``
-    resolves the active backend per call), so measurements taken on a
-    different backend never steer planning.
+    spec *and* it is among the feasible candidates being ranked.
     """
 
-    def __init__(self, db: TuneDB, backend: Optional[str] = None) -> None:
+    def __init__(self, db: TuneDB) -> None:
         self.db = db
-        self.backend = backend
 
     def __call__(
         self, spec: CollectiveSpec, candidates: Dict[str, float]
     ) -> Optional[str]:
-        backend = self.backend or resolve_backend(None)
-        winner = self.db.winner(spec.with_algorithm("auto"), backend=backend)
+        winner = self.db.winner(spec.with_algorithm("auto"))
         if winner is None or winner not in candidates:
             return None
         return winner
@@ -146,7 +140,6 @@ def tune(
                 measured_cycles=measured[winner],
                 winner_algorithm=winner,
                 measured=measured,
-                backend=winner_outcome.sim.backend,
             )
     PLAN_CACHE.clear()
     return db

@@ -128,7 +128,6 @@ def _encode_record(record: "TuneRecord") -> bytes:
         "measured_cycles": record.measured_cycles,
         "winner_algorithm": record.winner_algorithm,
         "measured": record.measured,
-        "backend": record.backend,
     }
     return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
 
@@ -139,9 +138,9 @@ class TuneRecord:
 
     ``measured`` holds per-algorithm measured cycles from a tuning run;
     ``winner_algorithm`` is only trustworthy when it appears in
-    ``measured`` (enforced by :meth:`TuneDB.winner`).  ``backend`` names
-    the simulator backend the measurements ran on; records written
-    before the field existed load as ``"reference"``.
+    ``measured`` (enforced by :meth:`TuneDB.winner`).  Both simulator
+    backends measure the same cycles, so records do not say which one
+    ran; a ``backend`` field in older records is ignored on load.
     """
 
     key: Dict[str, object]
@@ -149,7 +148,6 @@ class TuneRecord:
     measured_cycles: Optional[int] = None
     winner_algorithm: Optional[str] = None
     measured: Dict[str, int] = field(default_factory=dict)
-    backend: str = "reference"
 
     def spec(self) -> CollectiveSpec:
         return spec_from_key(self.key)
@@ -182,7 +180,6 @@ def _parse_record(line: str) -> TuneRecord:
                 str(k): int(v)
                 for k, v in (obj.get("measured") or {}).items()
             },
-            backend=str(obj.get("backend") or "reference"),
         )
         record.spec()  # validates the key round-trips to a spec
     except (ValueError, KeyError, TypeError) as err:
@@ -361,27 +358,12 @@ class TuneDB:
         return report
 
     def _merge(self, record: TuneRecord) -> TuneRecord:
-        """Field-wise merge of ``record`` into the in-memory map.
-
-        Measurements taken on different simulator backends never mix:
-        when an incoming record carries measurements from another
-        backend, the existing measured state is discarded wholesale and
-        the record's backend takes over.  Analytic-only records (no
-        measurements) merge without touching the backend tag.
-        """
+        """Field-wise merge of ``record`` into the in-memory map."""
         kid = _key_id(record.key)
         existing = self._records.get(kid)
         if existing is None:
             self._records[kid] = record
             return record
-        has_measurement = (
-            record.measured_cycles is not None or bool(record.measured)
-        )
-        if has_measurement and record.backend != existing.backend:
-            existing.measured = {}
-            existing.measured_cycles = None
-            existing.winner_algorithm = None
-            existing.backend = record.backend
         if record.predicted_cycles is not None:
             existing.predicted_cycles = record.predicted_cycles
         if record.measured_cycles is not None:
@@ -423,20 +405,14 @@ class TuneDB:
         measured_cycles: Optional[int] = None,
         winner_algorithm: Optional[str] = None,
         measured: Optional[Dict[str, int]] = None,
-        backend: str = "reference",
     ) -> TuneRecord:
-        """Merge one observation for ``spec`` and persist it.
-
-        ``backend`` tags any measurements with the simulator backend
-        they ran on (see :meth:`winner`).
-        """
+        """Merge one observation for ``spec`` and persist it."""
         merged = self._merge(TuneRecord(
             key=spec_to_key(spec),
             predicted_cycles=predicted_cycles,
             measured_cycles=measured_cycles,
             winner_algorithm=winner_algorithm,
             measured=dict(measured or {}),
-            backend=backend,
         ))
         self._append(merged)
         return merged
@@ -455,23 +431,17 @@ class TuneDB:
         _LOOKUPS["hits" if record is not None else "misses"] += 1
         return record
 
-    def winner(
-        self, spec: CollectiveSpec, backend: Optional[str] = None
-    ) -> Optional[str]:
+    def winner(self, spec: CollectiveSpec) -> Optional[str]:
         """The *measured* winning algorithm for ``spec``, if any.
 
         Returns ``None`` unless the recorded winner is backed by an
         actual measurement — an analytic-only record never overrides the
-        planner.  When ``backend`` is given, winners measured on a
-        *different* simulator backend are ignored too, so mixed-backend
-        campaigns cannot silently corrupt autotuned plans.
+        planner.
         """
         record = self.lookup(spec)
         if record is None or record.winner_algorithm is None:
             return None
         if record.winner_algorithm not in record.measured:
-            return None
-        if backend is not None and record.backend != backend:
             return None
         return record.winner_algorithm
 

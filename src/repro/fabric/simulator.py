@@ -22,6 +22,14 @@ event that unblocks them (arrival, buffer drain, rule advance, timer), and
 fully idle stretches fast-forward to the next timed event.  Cost is
 therefore :math:`O(\\text{wavelet movements})`, which is the energy term
 ``E`` of the schedule.
+
+The simulator is timing-only: a wavelet in a queue carries nothing but
+whether it is a control wavelet.  The values the buffers end with do not
+depend on when wavelets move (Kahn's theorem), so :func:`simulate` takes
+them from the clock-free value pass (:mod:`repro.fabric.values`) on
+either backend.  :class:`FabricSimulator` is the timing oracle that the
+vectorized backend (:mod:`repro.fabric.vectorized`) matches cycle for
+cycle.
 """
 
 from __future__ import annotations
@@ -49,11 +57,7 @@ from .ir import (
     Send,
     SendCtrl,
     SendRecv,
-    lower_arrays,
 )
-
-#: Sentinel payload marking a control wavelet in the router queues.
-CTRL = object()
 
 __all__ = [
     "SimulationError",
@@ -137,10 +141,11 @@ class _Router:
     __slots__ = ("fifos", "staged", "rules", "rule_idx", "active")
 
     def __init__(self, program: Optional[PEProgram]) -> None:
-        # fifos[port]: dict color -> deque of payloads
+        # fifos[port]: dict color -> deque of wavelets, each True for a
+        # control wavelet and False for data
         self.fifos: List[Dict[int, deque]] = [dict() for _ in range(5)]
-        # staged[port]: dict color -> payload awaiting link transfer
-        self.staged: List[Dict[int, float]] = [dict() for _ in range(5)]
+        # staged[port]: dict color -> wavelet awaiting link transfer
+        self.staged: List[Dict[int, bool]] = [dict() for _ in range(5)]
         # color -> list of [accept, forward_tuple, remaining or None]
         self.rules: Dict[int, List[List]] = {}
         self.rule_idx: Dict[int, int] = {}
@@ -152,13 +157,13 @@ class _Router:
                 self.rule_idx[color] = 0
         self.active = False
 
-    def push(self, port: int, color: int, value: float) -> None:
+    def push(self, port: int, color: int, ctrl: bool) -> None:
         queues = self.fifos[port]
         q = queues.get(color)
         if q is None:
             q = deque()
             queues[color] = q
-        q.append(value)
+        q.append(ctrl)
 
     def backlog(self, port: int, color: int) -> int:
         q = self.fifos[port].get(color)
@@ -188,7 +193,6 @@ class _Processor:
         "op_idx",
         "progress",
         "in_queues",
-        "buffer",
         "done_cycle",
         "received",
         "sent",
@@ -196,12 +200,12 @@ class _Processor:
         "active",
     )
 
-    def __init__(self, program: Optional[PEProgram], buffer_size: int) -> None:
+    def __init__(self, program: Optional[PEProgram]) -> None:
         self.ops = list(program.ops) if program is not None else []
         self.op_idx = 0
         self.progress = 0
+        #: color -> deque of the cycles its wavelets reach the processor.
         self.in_queues: Dict[int, deque] = {}
-        self.buffer = np.zeros(max(buffer_size, 1), dtype=np.float64)
         self.done_cycle: Optional[int] = None
         self.received = 0
         self.sent = 0
@@ -226,9 +230,7 @@ class FabricSimulator:
     def __init__(
         self,
         schedule: Schedule,
-        inputs: Dict[int, np.ndarray] | None = None,
         params: MachineParams = CS2,
-        combine: Callable[[float, float], float] | None = None,
         fifo_capacity: int = 4,
         clock_offsets: Dict[int, int] | None = None,
         max_cycles: int = 50_000_000,
@@ -239,7 +241,6 @@ class FabricSimulator:
         self.schedule = schedule
         self.grid = schedule.grid
         self.params = params
-        self.combine = combine
         self.fifo_capacity = fifo_capacity
         self.max_cycles = max_cycles
         self.clock_offsets = clock_offsets or {}
@@ -247,19 +248,8 @@ class FabricSimulator:
 
         size = self.grid.size
         self.routers = [_Router(schedule.programs.get(pe)) for pe in range(size)]
-        self.procs = [
-            _Processor(schedule.programs.get(pe), schedule.buffer_size)
-            for pe in range(size)
-        ]
-        if inputs:
-            for pe, vec in inputs.items():
-                vec = np.asarray(vec, dtype=np.float64)
-                if len(vec) > len(self.procs[pe].buffer):
-                    raise ValueError(
-                        f"input for PE {pe} longer than buffer "
-                        f"({len(vec)} > {len(self.procs[pe].buffer)})"
-                    )
-                self.procs[pe].buffer[: len(vec)] = vec
+        self.procs = [_Processor(schedule.programs.get(pe))
+                      for pe in range(size)]
 
         # Event machinery.
         self._active_routers: List[int] = []
@@ -268,10 +258,8 @@ class FabricSimulator:
         self._stage_waiters: Dict[Tuple[int, int], int] = {}
         self._timed: List[Tuple[int, int, int]] = []  # (cycle, kind, pe)
         self._timer_seq = 0
-        # Per-processor pending ramp entries: (entry_cycle, color, value).
+        # Per-processor pending ramp entries: (entry_cycle, color, ctrl).
         self._ramp_pending: List[deque] = [deque() for _ in range(size)]
-        # Per-processor matured wavelet flow handled via in_queues with
-        # (ready_cycle, value) entries.
         self.energy = 0
         self.link_loads = np.zeros((size, 5), dtype=np.int64)
         self.clock_samples: Dict[str, Dict[int, int]] = {}
@@ -366,10 +354,7 @@ class FabricSimulator:
         return SimResult(
             cycles=last_activity + 1,
             energy=self.energy,
-            buffers={
-                pe: self.procs[pe].buffer
-                for pe in self.schedule.programs
-            },
+            buffers={},
             received=np.array([p.received for p in self.procs], dtype=np.int64),
             sent=np.array([p.sent for p in self.procs], dtype=np.int64),
             link_loads=self.link_loads,
@@ -518,16 +503,14 @@ class FabricSimulator:
                             break
                     if not free:
                         continue
-                    value = q.popleft()
+                    is_ctrl = q.popleft()
                     self._accept_guard[guard_key] = port
-                    is_ctrl = value is CTRL
                     for out in targets:
                         if out == Port.RAMP:
                             if is_ctrl:
                                 continue  # routers absorb control wavelets
-                            proc = self.procs[pe]
-                            proc.queue(color).append(
-                                (cycle + self.params.ramp_latency, value)
+                            self.procs[pe].queue(color).append(
+                                cycle + self.params.ramp_latency
                             )
                             self._schedule_timer(
                                 cycle + self.params.ramp_latency, pe, 0
@@ -537,7 +520,7 @@ class FabricSimulator:
                                     cycle, "ramp_up", pe, color, Port.RAMP
                                 )
                         else:
-                            router.staged[out][color] = value
+                            router.staged[out][color] = is_ctrl
                             self._delivery.add(pe)
                     # Backpressure bookkeeping: this pop freed FIFO space.
                     if port == Port.RAMP:
@@ -570,8 +553,8 @@ class FabricSimulator:
         router = self.routers[pe]
         moved = False
         while pending and pending[0][0] <= cycle:
-            _, color, value = pending.popleft()
-            router.push(Port.RAMP, color, value)
+            _, color, ctrl = pending.popleft()
+            router.push(Port.RAMP, color, ctrl)
             moved = True
         if moved:
             self._wake_router(pe)
@@ -579,13 +562,16 @@ class FabricSimulator:
         if pending:
             self._schedule_timer(pending[0][0], pe, 1)
 
-    def _emit(self, pe: int, color: int, value: float, cycle: int) -> None:
-        """Processor send: wavelet enters the router after 1 + T_R cycles."""
+    def _emit(self, pe: int, color: int, cycle: int, ctrl: bool = False) -> None:
+        """Processor send: wavelet enters the router after 1 + T_R cycles
+        (a control wavelet is not counted as sent)."""
         entry = cycle + 1 + self.params.ramp_latency
         pending = self._ramp_pending[pe]
         if not pending:
             self._schedule_timer(entry, pe, 1)
-        pending.append((entry, color, value))
+        pending.append((entry, color, ctrl))
+        if ctrl:
+            return
         self.procs[pe].sent += 1
         if self.tracer is not None:
             self.tracer.record(cycle, "ramp_down", pe, color, Port.RAMP)
@@ -628,57 +614,51 @@ class FabricSimulator:
         if proc.done:
             proc.done_cycle = cycle
 
+    def _ready(self, pe: int, proc: _Processor, color: int, cycle: int) -> bool:
+        """Whether a wavelet of ``color`` has reached the processor; if one
+        is still on the ramp, wake the processor when it arrives."""
+        queue = proc.in_queues.get(color)
+        if not queue:
+            return False
+        if queue[0] > cycle:
+            self._schedule_timer(queue[0], pe, 0)
+            return False
+        return True
+
+    def _consume(self, pe: int, proc: _Processor, color: int, cycle: int) -> bool:
+        """Take one arrived wavelet of ``color``, if there is one."""
+        if not self._ready(pe, proc, color, cycle):
+            return False
+        proc.in_queues[color].popleft()
+        proc.received += 1
+        if self.tracer is not None:
+            self.tracer.record(cycle, "consume", pe, color)
+        return True
+
     def _step_one(self, pe: int, proc: _Processor, cycle: int) -> bool:
         op = proc.ops[proc.op_idx]
         if isinstance(op, Send):
             if not self._send_gate_open(pe):
                 return False
-            value = float(proc.buffer[op.offset + proc.progress])
-            self._emit(pe, op.color, value, cycle)
+            self._emit(pe, op.color, cycle)
             proc.progress += 1
             if proc.progress >= op.length:
                 self._advance_op(proc, cycle, pe)
             return True
         if isinstance(op, Recv):
-            queue = proc.in_queues.get(op.color)
-            if not queue or queue[0][0] > cycle:
-                if queue and queue[0][0] > cycle:
-                    self._schedule_timer(queue[0][0], pe, 0)
+            if not self._consume(pe, proc, op.color, cycle):
                 return False
-            _, value = queue.popleft()
-            k = op.offset + (proc.progress % op.length)
-            if op.combine:
-                if self.combine is None:
-                    proc.buffer[k] += value
-                else:
-                    proc.buffer[k] = self.combine(proc.buffer[k], value)
-            else:
-                proc.buffer[k] = value
-            proc.received += 1
-            if self.tracer is not None:
-                self.tracer.record(cycle, "consume", pe, op.color)
             proc.progress += 1
             if proc.progress >= op.total_wavelets:
                 self._advance_op(proc, cycle, pe)
             return True
         if isinstance(op, RecvReduceSend):
-            queue = proc.in_queues.get(op.in_color)
-            if not queue or queue[0][0] > cycle:
-                if queue and queue[0][0] > cycle:
-                    self._schedule_timer(queue[0][0], pe, 0)
+            if not self._ready(pe, proc, op.in_color, cycle):
                 return False
             if not self._send_gate_open(pe):
                 return False
-            _, value = queue.popleft()
-            k = op.offset + proc.progress
-            if self.combine is None:
-                proc.buffer[k] += value
-            else:
-                proc.buffer[k] = self.combine(proc.buffer[k], value)
-            proc.received += 1
-            if self.tracer is not None:
-                self.tracer.record(cycle, "consume", pe, op.in_color)
-            self._emit(pe, op.out_color, float(proc.buffer[k]), cycle)
+            self._consume(pe, proc, op.in_color, cycle)
+            self._emit(pe, op.out_color, cycle)
             proc.progress += 1
             if proc.progress >= op.length:
                 self._advance_op(proc, cycle, pe)
@@ -689,28 +669,13 @@ class FabricSimulator:
             sent, recvd = divmod(proc.progress, op.length + 1)
             moved = False
             if sent < op.length and self._send_gate_open(pe):
-                value = float(proc.buffer[op.send_offset + sent])
-                self._emit(pe, op.send_color, value, cycle)
+                self._emit(pe, op.send_color, cycle)
                 sent += 1
                 moved = True
-            queue = proc.in_queues.get(op.recv_color)
-            if recvd < op.length and queue and queue[0][0] <= cycle:
-                _, value = queue.popleft()
-                k = op.recv_offset + recvd
-                if op.combine:
-                    if self.combine is None:
-                        proc.buffer[k] += value
-                    else:
-                        proc.buffer[k] = self.combine(proc.buffer[k], value)
-                else:
-                    proc.buffer[k] = value
-                proc.received += 1
-                if self.tracer is not None:
-                    self.tracer.record(cycle, "consume", pe, op.recv_color)
+            if recvd < op.length and self._consume(pe, proc, op.recv_color,
+                                                   cycle):
                 recvd += 1
                 moved = True
-            elif recvd < op.length and queue and queue[0][0] > cycle:
-                self._schedule_timer(queue[0][0], pe, 0)
             proc.progress = sent * (op.length + 1) + recvd
             if sent >= op.length and recvd >= op.length:
                 self._advance_op(proc, cycle, pe)
@@ -718,11 +683,7 @@ class FabricSimulator:
         if isinstance(op, SendCtrl):
             if not self._send_gate_open(pe):
                 return False
-            entry = cycle + 1 + self.params.ramp_latency
-            pending = self._ramp_pending[pe]
-            if not pending:
-                self._schedule_timer(entry, pe, 1)
-            pending.append((entry, op.color, CTRL))
+            self._emit(pe, op.color, cycle, ctrl=True)
             self._advance_op(proc, cycle, pe)
             return True
         if isinstance(op, Delay):
@@ -756,13 +717,9 @@ _FALLBACK_STATE: Dict[str, object] = {"hook": None, "warned": set()}
 #: Every reason a ``backend="vectorized"`` simulation runs on the
 #: reference instead, in the order :func:`simulate` checks them, each
 #: decided from the arguments before a cycle runs: a tracer (it needs the
-#: reference's per-event hooks), ``ramp_latency < 1`` (it needs the
-#: reference's event order), an op type the array lowering does not
-#: know, and the value pass's static refusals
-#: (:func:`repro.fabric.values.refusal`): a combine with no ufunc, a
-#: ``SendRecv`` that overlaps itself, an op past its buffer.
-FALLBACKS = ("tracer", "ramp_latency", "op_type", "unsupported_combine",
-             "sendrecv_overlap", "op_past_buffer")
+#: reference's per-event hooks) and ``ramp_latency < 1`` (it needs the
+#: reference's event order).
+FALLBACKS = ("tracer", "ramp_latency")
 
 
 def set_fallback_hook(hook: Optional[Callable[[Schedule, str], None]]):
@@ -793,21 +750,6 @@ def _note_fallback(schedule: Schedule, reason: str) -> None:
         )
 
 
-def _fallback(schedule: Schedule, params: MachineParams,
-              kwargs: Dict[str, object]) -> Optional[str]:
-    """The reason in :data:`FALLBACKS` that sends this run to the
-    reference, or ``None`` for the vectorized backend."""
-    if kwargs.get("tracer") is not None:
-        return "tracer"
-    if params.ramp_latency < 1:
-        return "ramp_latency"
-    try:
-        lower_arrays(schedule)
-    except TypeError:
-        return "op_type"
-    return values.refusal(schedule, kwargs.get("combine"))
-
-
 def resolve_backend(backend: str | None = None) -> str:
     """Resolve the simulator backend: explicit arg > ``REPRO_SIM_BACKEND``
     env var > default ``vectorized``."""
@@ -827,36 +769,43 @@ def simulate(
     inputs: Dict[int, np.ndarray] | None = None,
     params: MachineParams = CS2,
     backend: str | None = None,
+    combine: np.ufunc = np.add,
+    tracer=None,
     **kwargs,
 ) -> SimResult:
     """Simulate ``schedule`` on the selected backend.
 
     ``backend`` may be ``"vectorized"`` (default), ``"reference"``, or
     ``None`` to consult the ``REPRO_SIM_BACKEND`` environment variable.
-    The vectorized backend is two parts: the timing-only array stepper
-    (:mod:`repro.fabric.vectorized`) and, once the stepper is released,
-    the clock-free value pass (:func:`repro.fabric.values.final_buffers`)
-    for the buffers.  A run that hits one of :data:`FALLBACKS` goes to
-    the reference simulator instead, decided before either part starts.
-    Both backends produce bit-identical :class:`SimResult`\\ s (up to
-    the ``backend`` tag).
+    Both backends are timing-only: the vectorized array stepper
+    (:mod:`repro.fabric.vectorized`) or the reference
+    :class:`FabricSimulator` runs the clock, and once it is released the
+    clock-free value pass (:func:`repro.fabric.values.final_buffers`)
+    fills ``buffers`` from ``inputs``, combining with the binary ufunc
+    ``combine``.  A vectorized run that hits one of :data:`FALLBACKS`
+    goes to the reference instead.  Before either engine is built,
+    :func:`repro.fabric.values.check` raises ``TypeError`` for an
+    unknown op type and ``ValueError`` for a combine that is not a
+    binary ufunc, a ``SendRecv`` whose ranges overlap or an op past its
+    buffer.  Both backends produce bit-identical :class:`SimResult`\\ s
+    (up to the ``backend`` tag).
     """
     backend = resolve_backend(backend)
+    values.check(schedule, combine)
+    if backend == "vectorized" and (tracer is not None
+                                    or params.ramp_latency < 1):
+        _note_fallback(schedule, "tracer" if tracer is not None
+                       else "ramp_latency")
+        backend = "reference"
     if backend == "vectorized":
-        reason = _fallback(schedule, params, kwargs)
-        if reason is None:
-            return _simulate_vectorized(schedule, inputs, params, **kwargs)
-        _note_fallback(schedule, reason)
-    return FabricSimulator(schedule, inputs=inputs, params=params, **kwargs).run()
+        from .vectorized import VectorizedSimulator
 
-
-def _simulate_vectorized(schedule, inputs, params, combine=None, tracer=None,
-                         **kwargs) -> SimResult:
-    """The stepper's timing with the value pass's buffers (``tracer`` is
-    ``None`` here: a traced run falls back)."""
-    from .vectorized import VectorizedSimulator
-
-    result = VectorizedSimulator(schedule, params=params, **kwargs).run()
+        engine = VectorizedSimulator(schedule, params=params, **kwargs)
+    else:
+        engine = FabricSimulator(schedule, params=params, tracer=tracer,
+                                 **kwargs)
+    result = engine.run()
+    del engine
     result.buffers = values.final_buffers(schedule, inputs, combine)
-    result.backend = "vectorized"
+    result.backend = backend
     return result

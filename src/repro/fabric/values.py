@@ -10,41 +10,36 @@ channels in an order fixed by the schedule alone:
   accept port and copying each wavelet to every forward target; a
   control wavelet advances the rule it passes;
 * a processor runs its ops in program order, each as whole-slice numpy
-  ops with the combine's ufunc (:func:`combine_ufunc`).
+  ops with the combine, a binary ufunc.
 
 Kahn's theorem makes the values on every channel independent of when
 they move, so running the processes in any order that respects the
-channels reproduces the reference simulator's buffers bit for bit.
-This pass is the one fast source of buffers: the vectorized backend is
-timing-only, and :func:`~repro.fabric.simulator.simulate` runs this pass
-beside it; :mod:`repro.core.api` runs it alone for a plan's repeated
-points, with the timing of the plan's first run.
+channels gives the buffers any timing of the schedule would.  This pass
+is the one value engine: both simulator backends are timing-only, and
+:func:`~repro.fabric.simulator.simulate` runs this pass after either;
+:mod:`repro.core.api` runs it alone for a plan's repeated points, with
+the timing of the plan's first run.
 
 Processes run from a ready list: one is revisited only after a channel
 it reads receives data.  Static routers (one unbounded rule, no control
 wavelets in the schedule) are wires, and pushes go straight through
 them to the process at the end.
 
-The pass refuses with a :class:`ValuesRefused` carrying one of
-:data:`REFUSALS` where the values could depend on timing or where it
-cannot finish.  :func:`refusal` decides the first three from the
-schedule alone, before a wavelet moves:
-
-* ``unsupported_combine`` — a combine callable with no ufunc mapping
-  (see :func:`register_combine`);
-* ``sendrecv_overlap`` — a :class:`~repro.fabric.ir.SendRecv` whose
-  send and receive ranges overlap (what is sent depends on how far the
-  receive got);
-* ``op_past_buffer`` — an op that reads or writes past its PE's buffer;
-* ``no_progress`` — no process can move yet a processor is unfinished
-  or a wavelet is left in a router channel (a schedule the simulator
-  would report as deadlocked or misrouted).
+:func:`check` rejects, from the schedule alone, what has no defined
+values: an op type the lowering does not know (``TypeError``), a
+combine that is not a binary ufunc, a :class:`~repro.fabric.ir.SendRecv`
+whose send and receive ranges overlap (what is sent would depend on how
+far the receive got), and an op that reads or writes past its PE's
+buffer (``ValueError``).  The pass raises :class:`ValuesRefused` when no
+process can move yet a processor is unfinished or a wavelet is left in a
+router channel: a schedule the simulator reports as deadlocked or
+misrouted.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,71 +61,41 @@ from .ir import (
     lower_arrays,
 )
 
-__all__ = ["REFUSALS", "ValuesRefused", "combine_ufunc", "final_buffers",
-           "refusal", "register_combine"]
-
-#: Every reason the value pass may refuse a schedule.
-REFUSALS = ("unsupported_combine", "sendrecv_overlap", "op_past_buffer",
-            "no_progress")
-
-#: combine callables the pass applies as ufuncs, bit-identically.  Keyed
-#: by identity; ``None`` (the default "sum") adds.  Python's
-#: ``max``/``min`` agree with the numpy ufuncs on all finite floats.
-_VECTOR_COMBINES: Dict[int, np.ufunc] = {
-    id(max): np.maximum,
-    id(min): np.minimum,
-}
-_COMBINE_KEEPALIVE = [max, min]
+__all__ = ["ValuesRefused", "check", "final_buffers"]
 
 
-def register_combine(fn: Callable[[float, float], float], ufunc: np.ufunc) -> None:
-    """Register a scalar combine callable as applied by ``ufunc``.
-
-    The caller asserts bit-identical results on all inputs the schedules
-    produce; unknown callables send a simulation to the reference backend.
-    """
-    _VECTOR_COMBINES[id(fn)] = ufunc
-    _COMBINE_KEEPALIVE.append(fn)
-
-
-def combine_ufunc(combine: Optional[Callable[[float, float], float]]
-                  ) -> Optional[np.ufunc]:
-    """The ufunc that applies ``combine`` (``None`` adds), or ``None``
-    when none is registered."""
-    return np.add if combine is None else _VECTOR_COMBINES.get(id(combine))
-
-
-def refusal(schedule: Schedule,
-            combine: Optional[Callable[[float, float], float]] = None
-            ) -> Optional[str]:
-    """The reason in :data:`REFUSALS` the pass refuses ``schedule`` before
-    it starts, or ``None``.  Raises ``TypeError`` for an op type that
-    :func:`~repro.fabric.ir.lower_arrays` does not know."""
+def check(schedule: Schedule, combine: np.ufunc = np.add) -> None:
+    """Raise unless the pass can give ``schedule``'s buffers under
+    ``combine``: ``TypeError`` for an op type that
+    :func:`~repro.fabric.ir.lower_arrays` does not know, ``ValueError``
+    for a combine that is not a binary ufunc, an overlapping ``SendRecv``
+    or an op past its buffer (see the module docstring)."""
     arr = lower_arrays(schedule)
-    if combine_ufunc(combine) is None:
-        return "unsupported_combine"
+    if not (isinstance(combine, np.ufunc) and combine.nin == 2
+            and combine.nout == 1):
+        raise ValueError(f"combine must be a binary numpy ufunc, "
+                         f"got {combine!r}")
     kind, off, off2, length = arr.op_kind, arr.op_off, arr.op_off2, arr.op_len
-    if ((kind == K_SENDRECV) & (off < off2 + length)
-            & (off2 < off + length)).any():
-        return "sendrecv_overlap"
+    size = max(schedule.buffer_size, 1)
     moves = (kind >= K_SEND) & (kind <= K_SENDRECV)
-    reach = np.maximum(off, off2) + length
-    if (moves & (reach > max(schedule.buffer_size, 1))).any():
-        return "op_past_buffer"
-    return None
+    for bad, what in (
+        ((kind == K_SENDRECV) & (off < off2 + length) & (off2 < off + length),
+         "a SendRecv whose send and receive ranges overlap"),
+        (moves & (np.maximum(off, off2) + length > size),
+         f"an op past its {size}-wavelet buffer"),
+    ):
+        if bad.any():
+            pe, op = np.argwhere(bad)[0]
+            raise ValueError(f"schedule {schedule.name!r}: PE {pe} op {op} "
+                             f"is {what}")
+
 
 #: A control wavelet in a channel (never reaches a processor).
 _CTRL = None
 
 
 class ValuesRefused(Exception):
-    """The value pass cannot give this schedule's buffers; ``reason`` is
-    one of :data:`REFUSALS`."""
-
-    def __init__(self, reason: str, detail: str = "") -> None:
-        assert reason in REFUSALS, reason
-        super().__init__(f"{reason}: {detail}" if detail else reason)
-        self.reason = reason
+    """The pass cannot finish: the schedule deadlocks or misroutes."""
 
 
 class _Channel:
@@ -154,7 +119,7 @@ _Targets = Tuple[Optional[_Channel], ...]
 def _push(targets: _Targets, seg, ready: Deque) -> None:
     for target in targets:
         if target is None:
-            raise ValuesRefused("no_progress", "wavelet forwarded off the grid")
+            raise ValuesRefused("wavelet forwarded off the grid")
         target.segs.append(seg)
         if seg is not _CTRL:
             target.size += len(seg)
@@ -354,7 +319,8 @@ def _ends(root: Optional[tuple], wires, resolved, channel) -> _Targets:
     return resolved[root]
 
 
-def _network(schedule: Schedule, buffers: Dict[int, np.ndarray], ufunc):
+def _network(schedule: Schedule, buffers: Dict[int, np.ndarray],
+             ufunc: np.ufunc):
     """The schedule's processes and channels, wired for one pass."""
     grid = schedule.grid
     channels: Dict[tuple, _Channel] = {}
@@ -436,12 +402,9 @@ def _network(schedule: Schedule, buffers: Dict[int, np.ndarray], ufunc):
     return processes, channels
 
 
-def _run(schedule: Schedule, inputs: Dict[int, np.ndarray],
-         combine: Optional[Callable[[float, float], float]]
-         ) -> Dict[int, np.ndarray]:
-    reason = refusal(schedule, combine)
-    if reason is not None:
-        raise ValuesRefused(reason, repr(schedule.name))
+def _run(schedule: Schedule, inputs: Optional[Dict[int, np.ndarray]],
+         combine: np.ufunc) -> Dict[int, np.ndarray]:
+    check(schedule, combine)
     size = max(schedule.buffer_size, 1)
     buffers = {pe: np.zeros(size) for pe in schedule.programs}
     for pe, vec in (inputs or {}).items():
@@ -451,8 +414,7 @@ def _run(schedule: Schedule, inputs: Dict[int, np.ndarray],
                              f"({len(vec)} > {size})")
         if pe in buffers:
             buffers[pe][:len(vec)] = vec
-    processes, channels = _network(schedule, buffers,
-                                    combine_ufunc(combine))
+    processes, channels = _network(schedule, buffers, combine)
     try:
         ready = deque(processes)
         while ready:
@@ -466,7 +428,6 @@ def _run(schedule: Schedule, inputs: Dict[int, np.ndarray],
         if stuck or any(channel.segs for key, channel in channels.items()
                         if key[0] == "r"):
             raise ValuesRefused(
-                "no_progress",
                 f"{len(stuck)} processor(s) unfinished in {schedule.name!r}")
     finally:
         # A channel and its reader refer to each other.  Unlinking them
@@ -481,24 +442,25 @@ def _run(schedule: Schedule, inputs: Dict[int, np.ndarray],
 def final_buffers(
     schedule: Schedule,
     inputs: Optional[Dict[int, np.ndarray]] = None,
-    combine: Optional[Callable[[float, float], float]] = None,
+    combine: np.ufunc = np.add,
 ) -> Dict[int, np.ndarray]:
     """The per-PE buffers a simulation of ``schedule`` ends with.
 
     Keys and shapes match :attr:`SimResult.buffers
     <repro.fabric.simulator.SimResult.buffers>`; ``combine`` is the
-    simulator's (``None`` adds).  Raises :class:`ValuesRefused` when the
-    pass cannot answer (see the module docstring).  When telemetry
-    records, the pass is a ``fabric.values`` span and counts
-    ``fabric.values.points`` or ``fabric.values.refused{reason}``.
+    binary ufunc a combining receive applies.  Raises what
+    :func:`check` raises, and :class:`ValuesRefused` when the pass
+    cannot finish.  When telemetry records, the pass is a
+    ``fabric.values`` span and counts ``fabric.values.points`` or
+    ``fabric.values.refused``.
     """
     if not _obs.enabled():
         return _run(schedule, inputs, combine)
     with _obs.span("fabric.values", schedule=schedule.name):
         try:
             buffers = _run(schedule, inputs, combine)
-        except ValuesRefused as exc:
-            METRICS.inc("fabric.values.refused", reason=exc.reason)
+        except ValuesRefused:
+            METRICS.inc("fabric.values.refused")
             raise
     METRICS.inc("fabric.values.points")
     return buffers

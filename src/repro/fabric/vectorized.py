@@ -7,14 +7,15 @@ PE — and advances *all* PEs per cycle in four phase updates — drain ->
 deliver -> route -> step-procs — instead of the reference simulator's
 per-object dispatch.  Its timing (cycles, energy, ramp counts, link
 loads, completion, clock samples) is bit-identical to
-:class:`~repro.fabric.simulator.FabricSimulator`, the oracle.
+:class:`~repro.fabric.simulator.FabricSimulator`, the timing oracle.
 
-The stepper is timing-only: it moves wavelet counts and arrival times,
-never payloads, because when a wavelet moves does not depend on what it
-carries.  Its :class:`~repro.fabric.simulator.SimResult` has empty
-``buffers``; :func:`~repro.fabric.simulator.simulate` fills them from
-the clock-free value pass (:func:`~repro.fabric.values.final_buffers`),
-and also decides beforehand which schedules go to the reference instead.
+Like the reference, the stepper is timing-only: it moves wavelet counts
+and arrival times, never payloads, because when a wavelet moves does not
+depend on what it carries.  Its :class:`~repro.fabric.simulator.SimResult`
+has empty ``buffers``; :func:`~repro.fabric.simulator.simulate` fills
+them from the clock-free value pass
+(:func:`~repro.fabric.values.final_buffers`), and decides beforehand
+which runs go to the reference instead (``simulator.FALLBACKS``).
 
 Each phase starts from one active index list (the occupied staging slots,
 the non-empty FIFOs, the PEs with pending ramp entries, the PEs per op

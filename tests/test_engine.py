@@ -20,7 +20,6 @@ import pytest
 
 from repro import CollectiveSpec, Grid, wse
 from repro.core import planner
-from repro.fabric.simulator import resolve_backend
 from repro.core.cache import PLAN_CACHE, PlanCache
 from repro.engine import (
     EngineSession,
@@ -102,8 +101,7 @@ class TestSerialParallelEquivalence:
             if name != analytic.algorithm
         )
         db = TuneDB(tmp_path / "db.jsonl")
-        db.record(spec, winner_algorithm=loser, measured={loser: 1},
-                  backend=resolve_backend(None))
+        db.record(spec, winner_algorithm=loser, measured={loser: 1})
         datas = [rng.normal(size=(8, 16)) for _ in range(3)]
         with use_tuner(db):
             outs = EngineSession(workers=2).sweep([spec] * 3, datas)
@@ -268,12 +266,40 @@ class TestTunerOverridesPlanner:
             if name != analytic.algorithm
         )
         db = TuneDB(tmp_path / "db.jsonl")
-        db.record(spec, winner_algorithm=loser, measured={loser: 1},
-                  backend=resolve_backend(None))
+        db.record(spec, winner_algorithm=loser, measured={loser: 1})
         tuned = planner.rank_spec(spec, tuner=Tuner(db))
         assert tuned.algorithm == loser
         assert tuned.tuned is True
         assert tuned.candidates == analytic.candidates  # analytic ranking kept
+
+    def test_records_with_a_backend_field_load_merge_and_steer(
+            self, tmp_path):
+        """Records written while the store tagged measurements with the
+        simulator backend still load, merge across the tags, and their
+        winner steers planning on either backend."""
+        from repro.engine.store import SCHEMA_VERSION
+
+        spec = CollectiveSpec("reduce", Grid(1, 8), 16)
+        analytic = planner.rank_spec(spec)
+        loser, other = [name for name in analytic.candidates
+                        if name != analytic.algorithm][:2]
+        path = tmp_path / "db.jsonl"
+        path.write_text("".join(
+            json.dumps({"schema": SCHEMA_VERSION, "key": spec_to_key(spec),
+                        "winner_algorithm": winner, "measured": measured,
+                        "backend": backend}) + "\n"
+            for winner, measured, backend in (
+                (other, {other: 2}, "vectorized"),
+                (loser, {loser: 1}, "reference"),
+            )))
+        db = TuneDB(path)
+        assert db.corrupt_lines == 0
+        assert db.lookup(spec).measured == {other: 2, loser: 1}
+        for backend in ("vectorized", "reference"):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setenv("REPRO_SIM_BACKEND", backend)
+                assert planner.rank_spec(spec, tuner=Tuner(db)).algorithm \
+                    == loser
 
     def test_no_measurements_means_no_override(self, tmp_path):
         spec = CollectiveSpec("reduce", Grid(1, 8), 16)
@@ -303,8 +329,7 @@ class TestTunerOverridesPlanner:
             if name != analytic_plan.algorithm
         )
         db = TuneDB(tmp_path / "db.jsonl")
-        db.record(spec, winner_algorithm=loser, measured={loser: 1},
-                  backend=resolve_backend(None))
+        db.record(spec, winner_algorithm=loser, measured={loser: 1})
         with use_tuner(db):
             tuned_plan = wse.plan(spec)
             assert tuned_plan.algorithm == loser

@@ -20,7 +20,7 @@ from repro.core.cache import PLAN_CACHE
 from repro.core.registry import CollectiveSpec
 from repro.engine import EngineSession, faults
 from repro.fabric.geometry import Grid
-from test_values import _overlapping_exchange
+from test_fabric_simulator import duplex
 
 pytestmark = pytest.mark.usefixtures("shm_leak_guard", "close_sessions")
 
@@ -146,16 +146,17 @@ def test_wrong_shape_on_a_later_point_raises_as_execute_does():
     assert str(batched.value) == str(alone.value)
 
 
-def test_refused_plan_simulates_every_point(simulations):
-    """A plan the value pass refuses runs on the reference, so it is
-    simulated at every point."""
+def test_run_many_raises_on_the_overlapping_plan():
+    """A plan whose SendRecv sends and receives one range has no defined
+    values: ``run_many`` raises as ``execute`` does."""
     spec = CollectiveSpec("allreduce", Grid(1, 2), 4, algorithm="ring")
-    PLAN_CACHE.store(spec, Plan(spec=spec, schedule=_overlapping_exchange(4),
+    PLAN_CACHE.store(spec, Plan(spec=spec, schedule=duplex(4, 0),
                                 algorithm="ring", grid=spec.grid, b=spec.b,
                                 predicted_cycles=0.0))
     datas = [np.random.default_rng(seed).normal(size=(2, 4))
              for seed in (1, 2, 1)]
-    outs = run_many([spec] * 3, datas, backend="vectorized")
-    assert len(simulations) == 3
-    assert {out.sim.backend for out in outs} == {"reference"}
-    _assert_same(outs, _per_point([spec] * 3, datas))
+    with pytest.raises(ValueError, match="ranges overlap") as batched:
+        run_many([spec] * 3, datas, backend="vectorized")
+    with pytest.raises(ValueError) as alone:
+        execute(plan(spec), datas[0], backend="vectorized")
+    assert str(batched.value) == str(alone.value)

@@ -92,7 +92,7 @@ class TestCombine:
         sim = simulate(
             sched,
             inputs={0: np.array([5.0, 0.0, 9.0]), 1: np.array([1.0, 2.0, 3.0])},
-            combine=max,
+            combine=np.maximum,
         )
         assert np.allclose(sim.buffers[0][:3], [5.0, 2.0, 9.0])
 
@@ -153,15 +153,25 @@ class TestStallsAndRules:
         with pytest.raises(SimulationError, match="no active rule"):
             simulate(s, inputs={1: np.array([1.0])})
 
-    def test_deadlock_detected(self):
+    @staticmethod
+    def _short_sender(buffer_size):
         # Receiver expects 2 wavelets but sender only sends 1.
         s = two_pe_message(1)
+        s.buffer_size = buffer_size
         s.programs[0].ops[0] = Recv(color=0, length=2, combine=False)
         s.programs[0].router[0] = [
             RouterRule(accept=Port.EAST, forward=(Port.RAMP,), count=2)
         ]
+        return s
+
+    def test_deadlock_detected(self):
         with pytest.raises(DeadlockError):
-            simulate(s, inputs={1: np.array([1.0])})
+            simulate(self._short_sender(2), inputs={1: np.array([1.0])})
+
+    def test_recv_past_buffer_raises_first(self):
+        # A 1-wavelet buffer under the length-2 Recv: no defined values.
+        with pytest.raises(ValueError, match="past its 1-wavelet buffer"):
+            simulate(self._short_sender(1), inputs={1: np.array([1.0])})
 
     def test_max_cycles_guard(self):
         s = two_pe_message(64)
@@ -215,26 +225,37 @@ class TestDelayAndClock:
         simulate(s)  # must terminate
 
 
+def duplex(b: int, recv_offset: int) -> Schedule:
+    """Two PEs swap-and-combine simultaneously: each sends ``[0, b)`` and
+    adds what it receives into ``[recv_offset, recv_offset + b)``."""
+    s = Schedule(grid=Grid(1, 2), buffer_size=recv_offset + b, name="duplex")
+    for pe, out in ((0, Port.EAST), (1, Port.WEST)):
+        prog = s.program(pe)
+        prog.router[pe] = [RouterRule(accept=Port.RAMP, forward=(out,), count=b)]
+        prog.router[1 - pe] = [
+            RouterRule(accept=out, forward=(Port.RAMP,), count=b)
+        ]
+        prog.ops.append(SendRecv(send_color=pe, recv_color=1 - pe, length=b,
+                                 recv_offset=recv_offset, combine=True))
+    return s
+
+
 class TestSendRecvDuplex:
     def test_bidirectional_exchange(self):
-        # Two PEs swap-and-combine their vectors simultaneously.
-        g = Grid(1, 2)
         b = 8
-        s = Schedule(grid=g, buffer_size=b, name="duplex")
-        p0 = s.program(0)
-        p0.router[0] = [RouterRule(accept=Port.RAMP, forward=(Port.EAST,), count=b)]
-        p0.router[1] = [RouterRule(accept=Port.EAST, forward=(Port.RAMP,), count=b)]
-        p0.ops.append(SendRecv(send_color=0, recv_color=1, length=b, combine=True))
-        p1 = s.program(1)
-        p1.router[1] = [RouterRule(accept=Port.RAMP, forward=(Port.WEST,), count=b)]
-        p1.router[0] = [RouterRule(accept=Port.WEST, forward=(Port.RAMP,), count=b)]
-        p1.ops.append(SendRecv(send_color=1, recv_color=0, length=b, combine=True))
         a = np.arange(b, dtype=float)
-        sim = simulate(s, inputs={0: a.copy(), 1: 10 * a})
-        assert np.allclose(sim.buffers[0][:b], 11 * a)
-        assert np.allclose(sim.buffers[1][:b], 11 * a)
+        sim = simulate(duplex(b, b), inputs={0: np.tile(a, 2),
+                                             1: np.tile(10 * a, 2)})
+        assert np.allclose(sim.buffers[0][b:], 11 * a)
+        assert np.allclose(sim.buffers[1][b:], 11 * a)
         # Full duplex: roughly b + latency, NOT 2b + latency.
         assert sim.cycles < b + 12
+
+    def test_in_place_swap_raises(self):
+        # Sending and receiving the same range: what goes out would depend
+        # on how far the receive has got.
+        with pytest.raises(ValueError, match="ranges overlap"):
+            simulate(duplex(8, 0), inputs={0: np.ones(8), 1: np.ones(8)})
 
 
 class TestDeterminism:

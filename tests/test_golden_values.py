@@ -2,11 +2,13 @@
 
 ``tests/golden_values.json`` holds a SHA-256 of the final buffers of
 every collective zoo schedule (``test_sim_backends._zoo_cases``) under
-each reduce op and each input value class of the timing law.
-``tests/make_golden_values.py`` wrote it while the reference simulator,
-the vectorized backend and the clock-free value pass agreed on every
-entry; ``simulate(backend="vectorized")`` must keep reproducing it, and
-on the vectorized backend, never a fallback.
+each reduce op and each input value class (normal, NaN, ±inf, −0.0).
+It was first written while three engines agreed on every entry: the
+reference simulator when it still computed values, the vectorized
+backend and the clock-free value pass.  The value pass, which fills
+every simulation's buffers, must keep reproducing it through
+``simulate(backend="vectorized")``, and on the vectorized backend, never
+a fallback.
 
 Inputs drawn from {-2, -1, 1, 2} keep every partial sum and product
 exact in float64, so there ``execute`` must equal the NumPy reduction
@@ -25,9 +27,17 @@ from repro.core.api import execute, plan
 from repro.core.registry import REDUCE_OPS, CollectiveSpec
 from repro.fabric.ir import SendRecv
 from repro.fabric.simulator import simulate
-from test_sim_backends import _VALUE_CLASSES, _ZOO
+from test_sim_backends import _ZOO
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_values.json")
+
+#: The input value classes each zoo case is pinned under.
+_VALUE_CLASSES = {
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "nan": lambda rng, n: np.full(n, np.nan),
+    "inf": lambda rng, n: rng.choice([np.inf, -np.inf], n),
+    "negzero": lambda rng, n: np.full(n, -0.0),
+}
 
 #: NumPy reduction of each registered reduce op.
 _NUMPY_OPS = {"sum": np.sum, "max": np.max, "min": np.min, "prod": np.prod}

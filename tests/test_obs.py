@@ -21,6 +21,7 @@ from repro.core.cache import PLAN_CACHE
 from repro.core.registry import CollectiveSpec
 from repro.engine import EngineSession, EngineStats
 from repro.fabric.geometry import Grid
+from repro.model.params import MachineParams
 from repro.obs import export, report, spans
 from repro.obs.metrics import METRICS, MetricsRegistry, series_key
 
@@ -322,6 +323,10 @@ def test_env_arming_enables_recording(monkeypatch, tmp_path):
 # ---------------------------------------------------------------------------
 
 
+#: A zero ramp latency is one of the reasons a vectorized run falls back.
+_NO_RAMP = MachineParams(ramp_latency=0)
+
+
 def _fallback_schedule_inputs():
     from repro.collectives import build_schedule
 
@@ -335,13 +340,12 @@ def test_fallback_increments_metric_and_emits_instant():
     from repro.fabric.simulator import simulate
 
     schedule, inputs = _fallback_schedule_inputs()
-    odd = lambda a, b: a - b  # noqa: E731
     before = METRICS.snapshot()
     spans.set_enabled(True)
     try:
         with spans.collect() as got:
             result = simulate(schedule, inputs=inputs,
-                              backend="vectorized", combine=odd)
+                              backend="vectorized", params=_NO_RAMP)
     finally:
         spans.set_enabled(False)
     assert result.backend == "reference"
@@ -357,7 +361,6 @@ def test_fallback_hook_fires_every_time_and_restores():
     from repro.fabric import simulator
 
     schedule, inputs = _fallback_schedule_inputs()
-    odd = lambda a, b: a - b  # noqa: E731
     calls = []
     previous = simulator.set_fallback_hook(
         lambda sched, reason: calls.append((sched.name, reason))
@@ -367,12 +370,12 @@ def test_fallback_hook_fires_every_time_and_restores():
             simulator.simulate(
                 schedule,
                 inputs={k: v.copy() for k, v in inputs.items()},
-                backend="vectorized", combine=odd,
+                backend="vectorized", params=_NO_RAMP,
             )
     finally:
         restored = simulator.set_fallback_hook(previous)
     assert len(calls) == 2
-    assert all("combine" in reason or reason for _, reason in calls)
+    assert all(reason == "ramp_latency" for _, reason in calls)
     assert restored is not None  # our hook was in place until now
 
 
@@ -380,14 +383,13 @@ def test_fallback_logs_once_per_reason(caplog):
     from repro.fabric import simulator
 
     schedule, inputs = _fallback_schedule_inputs()
-    odd = lambda a, b: a - b  # noqa: E731
     simulator._FALLBACK_STATE["warned"].clear()
     with caplog.at_level(logging.WARNING, logger="repro.fabric.simulator"):
         for _ in range(3):
             simulator.simulate(
                 schedule,
                 inputs={k: v.copy() for k, v in inputs.items()},
-                backend="vectorized", combine=odd,
+                backend="vectorized", params=_NO_RAMP,
             )
     warnings = [r for r in caplog.records
                 if "falling back" in r.getMessage()]

@@ -1,12 +1,12 @@
-"""Differential tests: vectorized backend vs the reference oracle.
+"""Differential tests: vectorized backend vs the reference timing oracle.
 
-The vectorized backend — the timing-only array stepper
-(:mod:`repro.fabric.vectorized`) plus the clock-free value pass for the
-buffers, joined by ``simulate(backend="vectorized")`` — is only allowed
-to exist because it is bit-identical to the reference simulator, or
-hands the run to it for one of ``simulator.FALLBACKS``.  These tests
-enforce that contract three ways, every comparison through ``simulate``
-with the backend tag asserted:
+Both backends are timing-only engines, and ``simulate`` fills either's
+buffers from the one clock-free value pass.  The vectorized array
+stepper (:mod:`repro.fabric.vectorized`) is only allowed to exist
+because its timing is bit-identical to the reference simulator's, or
+because it hands the run to the reference for one of
+``simulator.FALLBACKS``.  These tests enforce that contract three ways,
+every comparison through ``simulate`` with the backend tag asserted:
 
 * a sweep over every collective kind × registered algorithm × 1D/2D
   grids, comparing full :class:`~repro.fabric.simulator.SimResult`s;
@@ -20,18 +20,19 @@ The zoo and the chain fuzz run twice: as shipped, and with
 ``REPRO_SIM_STRIDE=0`` so the stepped phases meet the oracle on cycles
 a stride window would otherwise skip.
 
-The zoo and the fuzz also check a law the reference must keep:
-simulated timing does not depend on input values.  Normal, NaN, ±inf
-and −0.0 inputs must give the same ``SimResult`` in every field but
-``buffers`` — what lets the tuner time a spec on any input, and what
-lets the vectorized stepper leave values out (it never sees them).
+Simulated timing does not depend on input values, which is what lets
+the tuner time a spec on any input: neither timing engine accepts
+inputs or a combine, nor holds a float64 array.
 
 Plus the stepper's cycle accounting (every simulated cycle is stepped,
-strided or jumped over), that it holds no payload array, and the
-backend-selector plumbing itself: ``REPRO_SIM_BACKEND``, explicit
-``backend=``, unknown-name rejection, and each fallback reason.
+strided or jumped over), and the backend-selector plumbing itself:
+``REPRO_SIM_BACKEND``, explicit ``backend=``, unknown-name rejection,
+each fallback reason, and the static errors ``simulate`` raises on
+either backend before a timing engine is built.
 """
 
+import inspect
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -71,11 +72,15 @@ from repro.obs import METRICS, use_telemetry
 # ---------------------------------------------------------------------------
 
 
-def _outcome(factory, schedule, inputs, **kwargs):
-    """Run one backend to a comparable outcome: result or error."""
+def _outcome(backend, schedule, inputs, **kwargs):
+    """Run ``simulate`` on one backend to a comparable outcome: result or
+    error.  The run must *not* fall back — every schedule our collective
+    builders emit stays on the fast path; silent fallback would quietly
+    void the perf win."""
     copies = {pe: np.asarray(buf).copy() for pe, buf in inputs.items()}
     try:
-        result = factory(schedule, inputs=copies, **kwargs).run()
+        result = simulate(schedule, inputs=copies, backend=backend, **kwargs)
+        assert result.backend == backend, schedule.name
     except DeadlockError as err:
         return ("deadlock", str(err))
     except SimulationError as err:
@@ -108,26 +113,10 @@ def _assert_same(ref, vec, label=""):
         )
 
 
-class _Vectorized:
-    """``simulate(backend="vectorized")`` behind the simulator-class
-    interface :func:`_outcome` drives: the timing-only stepper plus the
-    value pass.  The run must *not* fall back — every schedule our
-    collective builders emit stays on the fast path; silent fallback
-    would quietly void the perf win."""
-
-    def __init__(self, schedule, **kwargs):
-        self.schedule, self.kwargs = schedule, kwargs
-
-    def run(self):
-        result = simulate(self.schedule, backend="vectorized", **self.kwargs)
-        assert result.backend == "vectorized", self.schedule.name
-        return result
-
-
 def _differential(schedule, inputs, **kwargs):
     """Assert reference and vectorized agree on ``schedule`` outright."""
-    ref = _outcome(FabricSimulator, schedule, inputs, **kwargs)
-    vec = _outcome(_Vectorized, schedule, inputs, **kwargs)
+    ref = _outcome("reference", schedule, inputs, **kwargs)
+    vec = _outcome("vectorized", schedule, inputs, **kwargs)
     _assert_same(ref, vec, schedule.name)
 
 
@@ -170,47 +159,9 @@ def _zoo_cases():
 
 def _zoo_schedule(kind, grid, algorithm, b):
     try:
-        schedule = build_schedule(kind, grid, algorithm, b)
+        return build_schedule(kind, grid, algorithm, b)
     except ValueError:
         pytest.skip("infeasible spec")
-    combine = REDUCE_OPS["sum"] if kind in ("reduce", "allreduce") else None
-    return schedule, {"combine": combine}
-
-
-#: Input value classes the timing law quantifies over.
-_VALUE_CLASSES = {
-    "normal": lambda rng, n: rng.standard_normal(n),
-    "nan": lambda rng, n: np.full(n, np.nan),
-    "inf": lambda rng, n: rng.choice([np.inf, -np.inf], n),
-    "negzero": lambda rng, n: np.full(n, -0.0),
-}
-
-
-def _timing(outcome):
-    """An outcome with the values it computed left out."""
-    status, result = outcome
-    if status != "ok":
-        return outcome
-    return {
-        name: value.tolist() if isinstance(value, np.ndarray) else value
-        for name, value in vars(result).items() if name != "buffers"
-    }
-
-
-def _assert_timing_ignores_values(schedule, seed, **kwargs):
-    timings = {}
-    for label, values in _VALUE_CLASSES.items():
-        rng = np.random.default_rng(seed)
-        inputs = {pe: values(rng, max(schedule.buffer_size, 1))
-                  for pe in schedule.programs}
-        with np.errstate(invalid="ignore"):     # inf + -inf is NaN
-            timings[label] = _timing(
-                _outcome(FabricSimulator, schedule, inputs, **kwargs)
-            )
-    for label, timing in timings.items():
-        assert timing == timings["normal"], (
-            f"{schedule.name}: {label} inputs changed the timing"
-        )
 
 
 _ZOO = pytest.mark.parametrize(
@@ -222,23 +173,17 @@ _ZOO = pytest.mark.parametrize(
 
 @_ZOO
 def test_zoo_bit_identical(kind, grid, algorithm, b):
-    schedule, kwargs = _zoo_schedule(kind, grid, algorithm, b)
-    _differential(schedule, _random_inputs(schedule, b), **kwargs)
+    schedule = _zoo_schedule(kind, grid, algorithm, b)
+    _differential(schedule, _random_inputs(schedule, b))
 
 
 @_ZOO
 def test_zoo_bit_identical_stride_off(kind, grid, algorithm, b):
     # Stride windows skip most cycles of the larger zoo grids; with
     # striding off the stepped phases meet the oracle on every cycle.
-    schedule, kwargs = _zoo_schedule(kind, grid, algorithm, b)
+    schedule = _zoo_schedule(kind, grid, algorithm, b)
     with _stride_off():
-        _differential(schedule, _random_inputs(schedule, b), **kwargs)
-
-
-@_ZOO
-def test_zoo_timing_ignores_values(kind, grid, algorithm, b):
-    schedule, kwargs = _zoo_schedule(kind, grid, algorithm, b)
-    _assert_timing_ignores_values(schedule, b, **kwargs)
+        _differential(schedule, _random_inputs(schedule, b))
 
 
 @pytest.mark.parametrize(
@@ -259,8 +204,7 @@ def test_zoo_timing_ignores_values(kind, grid, algorithm, b):
 )
 def test_fig_grids_bit_identical(kind, grid, algorithm, b):
     schedule = build_schedule(kind, grid, algorithm, b)
-    combine = REDUCE_OPS["sum"] if kind in ("reduce", "allreduce") else None
-    _differential(schedule, _random_inputs(schedule, b), combine=combine)
+    _differential(schedule, _random_inputs(schedule, b))
 
 
 def test_max_min_prod_combines_bit_identical():
@@ -292,8 +236,8 @@ def test_deadlock_parity_exact_message():
     s = _two_pe(2)
     # Receiver waits for wavelets that the (removed) sender never emits.
     del s.programs[1]
-    ref = _outcome(FabricSimulator, s, {})
-    vec = _outcome(_Vectorized, s, {})
+    ref = _outcome("reference", s, {})
+    vec = _outcome("vectorized", s, {})
     assert ref[0] == vec[0] == "deadlock"
     assert ref[1] == vec[1]
 
@@ -303,8 +247,8 @@ def test_missing_rule_parity():
     # Wavelet arrives at PE 0 on a color with no active rule.
     s.programs[0].router.clear()
     s.programs[0].ops.clear()
-    ref = _outcome(FabricSimulator, s, {1: np.ones(1)})
-    vec = _outcome(_Vectorized, s, {1: np.ones(1)})
+    ref = _outcome("reference", s, {1: np.ones(1)})
+    vec = _outcome("vectorized", s, {1: np.ones(1)})
     _assert_same(ref, vec, "missing-rule")
     assert ref[0] == "simerror"
 
@@ -315,8 +259,8 @@ def test_off_grid_staging_parity():
     p0 = s.program(0)
     p0.router[0] = [RouterRule(accept=Port.RAMP, forward=(Port.WEST,), count=1)]
     p0.ops.append(Send(color=0, length=1))
-    ref = _outcome(FabricSimulator, s, {0: np.ones(1)})
-    vec = _outcome(_Vectorized, s, {0: np.ones(1)})
+    ref = _outcome("reference", s, {0: np.ones(1)})
+    vec = _outcome("vectorized", s, {0: np.ones(1)})
     _assert_same(ref, vec, "off-grid")
     assert ref[0] == "simerror"
 
@@ -393,13 +337,6 @@ def test_fuzz_chain_parity_stride_off(case):
     schedule, kwargs, seed = _chain_schedule(case)
     with _stride_off():
         _differential(schedule, _random_inputs(schedule, seed), **kwargs)
-
-
-@settings(max_examples=40, deadline=None)
-@given(_chain_case())
-def test_fuzz_chain_timing_ignores_values(case):
-    schedule, kwargs, seed = _chain_schedule(case)
-    _assert_timing_ignores_values(schedule, seed, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -487,21 +424,6 @@ def _fallbacks():
         set_fallback_hook(previous)
 
 
-def test_unsupported_schedule_falls_back():
-    # A combine callable the value pass has no ufunc mapping for must be
-    # refused and silently served by the oracle.
-    s = build_schedule("reduce", Grid(1, 4), "tree", 4)
-    inputs = _random_inputs(s, 1)
-    odd = lambda a, b: a - b  # noqa: E731
-    with _fallbacks() as reasons:
-        result = simulate(
-            s, inputs={k: v.copy() for k, v in inputs.items()},
-            backend="vectorized", combine=odd,
-        )
-    assert result.backend == "reference"
-    assert reasons == ["unsupported_combine"]
-
-
 def test_tracer_attached_falls_back_to_reference():
     # A tracer needs the reference simulator's per-cycle event hooks, so
     # a tracer-attached run must refuse the vectorized backend and tag
@@ -521,60 +443,68 @@ def test_tracer_attached_falls_back_to_reference():
     assert tracer.events  # the fallback run actually traced
 
 
+@pytest.mark.parametrize("reason", FALLBACKS)
+def test_each_fallback_reason_lands_on_the_reference(reason):
+    s = _two_pe(4)
+    if reason == "tracer":
+        from repro.fabric.trace import Tracer
+
+        kwargs = {"tracer": Tracer()}
+    else:
+        kwargs = {"params": MachineParams(ramp_latency=0)}
+    inputs = _random_inputs(s, 0)
+    with _fallbacks() as reasons:
+        got = simulate(s, inputs=inputs, backend="vectorized", **kwargs)
+    assert reasons == [reason]
+    assert got.backend == "reference"
+    _assert_same(_outcome("reference", s, inputs, **kwargs), ("ok", got),
+                 reason)
+
+
 @dataclass(frozen=True)
 class _UnknownOp:
     """An op type the array lowering does not know."""
 
 
-def _refused(reason):
-    """A run refused for ``reason``, as ``(schedule, simulate kwargs)``."""
+def _invalid(error):
+    """A run ``simulate`` rejects statically, as ``(schedule, kwargs)``."""
     s = _two_pe(4)
     kwargs = {}
-    if reason == "tracer":
-        from repro.fabric.trace import Tracer
-
-        kwargs["tracer"] = Tracer()
-    elif reason == "ramp_latency":
-        kwargs["params"] = MachineParams(ramp_latency=0)
-    elif reason == "op_type":
+    if error == "op_type":
         s.programs[0].ops.append(_UnknownOp())
-    elif reason == "unsupported_combine":
+    elif error == "combine":
         kwargs["combine"] = lambda a, b: a - b
-    elif reason == "sendrecv_overlap":
-        from test_values import _overlapping_exchange
+    elif error == "sendrecv_overlap":
+        from test_fabric_simulator import duplex
 
-        s = _overlapping_exchange(4)
-    elif reason == "op_past_buffer":
+        s = duplex(4, 0)
+    elif error == "op_past_buffer":
         s.programs[1].ops[0] = Send(color=0, length=4, offset=1)
     return s, kwargs
 
 
-def _result_or_error(run):
-    try:
-        return run()
-    except Exception as err:  # the oracle's verdict, whatever it is
-        return type(err)
+#: each static error ``simulate`` raises, and its exception.
+_STATIC_ERRORS = {
+    "op_type": (TypeError, "unknown op"),
+    "combine": (ValueError, "binary numpy ufunc"),
+    "sendrecv_overlap": (ValueError, "ranges overlap"),
+    "op_past_buffer": (ValueError, "past its 4-wavelet buffer"),
+}
 
 
-@pytest.mark.parametrize("reason", FALLBACKS)
-def test_each_fallback_reason_lands_on_the_reference(reason):
-    s, kwargs = _refused(reason)
-    inputs = _random_inputs(s, 0)
+@pytest.mark.parametrize("backend", SIM_BACKENDS)
+@pytest.mark.parametrize("error", sorted(_STATIC_ERRORS))
+def test_static_errors_raise_before_a_timing_engine(error, backend,
+                                                    monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("a timing engine was built")
 
-    def copies():
-        return {pe: vec.copy() for pe, vec in inputs.items()}
-
-    with _fallbacks() as reasons:
-        got = _result_or_error(lambda: simulate(
-            s, inputs=copies(), backend="vectorized", **kwargs))
-    ref = _result_or_error(
-        lambda: FabricSimulator(s, inputs=copies(), **kwargs).run())
-    assert reasons == [reason]
-    if isinstance(ref, type):
-        assert got is ref
-    else:
-        assert got.backend == "reference"
-        _assert_same(("ok", ref), ("ok", got), reason)
+    monkeypatch.setattr(FabricSimulator, "__init__", built)
+    monkeypatch.setattr(VectorizedSimulator, "__init__", built)
+    s, kwargs = _invalid(error)
+    exc, match = _STATIC_ERRORS[error]
+    with pytest.raises(exc, match=match):
+        simulate(s, inputs=_random_inputs(s, 0), backend=backend, **kwargs)
 
 
 @dataclass
@@ -588,11 +518,38 @@ def test_op_subclass_runs_like_its_base():
     _differential(s, _random_inputs(s, 0))
 
 
-def test_stepper_holds_no_payload_arrays():
-    """The stepper is timing-only: no float64 array over the buffer,
-    FIFO, staged-slot, pending or in-queue space."""
-    s = build_schedule("reduce", Grid(4, 4), "tree", 64)
-    sim = VectorizedSimulator(s)
-    floats = [name for name, value in vars(sim).items()
-              if isinstance(value, np.ndarray) and value.dtype == np.float64]
-    assert floats == []
+def _float64_arrays(root):
+    """Every float64 array reachable from ``root`` through containers
+    and the attributes of this package's objects."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if obj.dtype == np.float64:
+                found.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset, deque)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("repro."):
+            slots = getattr(type(obj), "__slots__", ())
+            stack.extend(getattr(obj, name) for name in slots
+                         if hasattr(obj, name))
+            stack.extend(getattr(obj, "__dict__", {}).values())
+    return found
+
+
+@pytest.mark.parametrize("engine", [FabricSimulator, VectorizedSimulator],
+                         ids=lambda engine: engine.__name__)
+def test_timing_engines_never_see_values(engine):
+    """Timing is independent of input values by construction: neither
+    timing engine accepts inputs or a combine, and neither holds a
+    float64 array, before or after its run."""
+    assert not {"inputs", "combine"} & set(inspect.signature(engine).parameters)
+    sim = engine(build_schedule("reduce", Grid(4, 4), "tree", 64))
+    assert _float64_arrays(sim) == []
+    sim.run()
+    assert _float64_arrays(sim) == []

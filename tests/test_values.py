@@ -1,46 +1,57 @@
-"""The clock-free value pass (:mod:`repro.fabric.values`) against both
-simulator backends.
+"""The clock-free value pass (:mod:`repro.fabric.values`), the one engine
+that computes buffers.
 
-The pass may only stand in for a simulation because its buffers are
-bit-identical to what the reference computes, and to what
-``simulate(backend="vectorized")`` — the timing-only stepper with this
-pass for the buffers — returns, tag asserted.  Buffers are compared as
-``.view(np.int64)`` so NaN payloads and the sign of zero count:
+Both simulator backends are timing-only and ``simulate`` fills their
+buffers from this pass, so the pass is checked against oracles that do
+not run it: the golden hashes, NumPy and provenance.  Buffers are
+compared as SHA-256s of their bytes, so NaN payloads and the sign of
+zero count:
 
 * the collective zoo × the four reduce ops × the four input value
-  classes of the timing law;
-* reduction trees whose routers advance on control wavelets;
-* the hypothesis chain fuzz, on every draw that simulates without
-  error (the draws that deadlock must be refused as ``no_progress``);
-* a hand-built ``SendRecv`` whose send and receive ranges overlap is
-  refused as ``sendrecv_overlap`` (``tests/test_execute_batch.py``
-  checks that ``run_many`` then simulates it, on the reference);
+  classes against ``tests/golden_values.json``, with each simulator
+  backend filling its buffers from the pass on a rotating op;
+* reduction trees whose routers advance on control wavelets, by
+  provenance (``tests/test_provenance.py``), and with the two backends'
+  timing compared;
+* the fig 11/12 operating points (1×64 PEs) against NumPy;
+* what the pass rejects statically, and the deadlocking schedules it
+  cannot finish;
 * a finished pass leaves no reference cycle for the collector.
+
+The hypothesis chain fuzz checks the pass by provenance in
+``tests/test_provenance.py``.
 """
+
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
 
 from repro.autogen.tree import binomial_tree, chain_tree, star_tree, two_phase_tree
 from repro.collectives import build_schedule, schedule_tree_reduce
 from repro.core.api import _prepare_inputs, plan, seeded_input
 from repro.core.registry import REDUCE_OPS, CollectiveSpec
 from repro.fabric.geometry import Grid, Port, row_grid
-from repro.fabric.ir import Recv, RouterRule, Schedule, Send, SendCtrl, SendRecv
-from repro.fabric.simulator import FabricSimulator
-from repro.fabric.simulator import simulate
-from repro.fabric.values import REFUSALS, ValuesRefused, final_buffers
+from repro.fabric.ir import Recv, RouterRule, Schedule, Send, SendCtrl
+from repro.fabric.simulator import SIM_BACKENDS, simulate
+from repro.fabric.values import ValuesRefused, final_buffers
 from repro.obs import spans
 from repro.obs.metrics import METRICS
-from test_sim_backends import (
+from test_golden_values import (
     _VALUE_CLASSES,
+    GOLDEN,
+    buffers_sha,
+    golden_inputs,
+    golden_key,
+)
+from test_provenance import _assert_provenance
+from test_sim_backends import (
+    _STATIC_ERRORS,
     _ZOO,
-    _Vectorized,
-    _chain_case,
-    _chain_schedule,
-    _outcome,
+    _differential,
+    _invalid,
     _random_inputs,
+    _two_pe,
     _zoo_cases,
 )
 
@@ -49,53 +60,39 @@ _COMBINING = ("reduce", "allreduce", "reduce_scatter")
 _ZOO_CASES = _zoo_cases()
 
 
-def _bits(buffers):
-    return {pe: np.asarray(buf).view(np.int64).tolist()
-            for pe, buf in buffers.items()}
-
-
-def _assert_values_match(schedule, inputs, label,
-                         factories=(FabricSimulator, _Vectorized),
-                         **kwargs):
-    """The pass equals every backend in ``factories``, or they all fail
-    and the pass refuses."""
-    combine = kwargs.get("combine")
-    with np.errstate(invalid="ignore"):     # inf + -inf is NaN
-        outcomes = [_outcome(factory, schedule, inputs, **kwargs)
-                    for factory in factories]
-        if outcomes[0][0] != "ok":
-            with pytest.raises(ValuesRefused) as refused:
-                final_buffers(schedule, inputs, combine)
-            assert refused.value.reason == "no_progress", label
-            return
-        got = _bits(final_buffers(schedule, inputs, combine))
-    for factory, (status, result) in zip(factories, outcomes):
-        assert status == "ok", f"{label}: {factory.__name__}"
-        assert got == _bits(result.buffers), f"{label}: {factory.__name__}"
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
 
 
 @_ZOO
-def test_zoo_values_bit_identical(kind, grid, algorithm, b):
-    """Every op × value class against the reference; the vectorized
-    backend takes every value class under one op per case, rotating over
-    the ops along the zoo, so each op × class pair still meets it on
-    twenty or more schedules (``test_golden_values`` runs it on all)."""
+def test_zoo_values_match_golden(golden, kind, grid, algorithm, b):
+    """Every op × value class straight from the pass; each backend's
+    ``simulate`` takes every value class under one op per case, rotating
+    over the ops along the zoo, so each backend × op × class meets the
+    pinned hashes on twenty or more schedules."""
     try:
         schedule = build_schedule(kind, grid, algorithm, b)
     except ValueError:
         pytest.skip("infeasible spec")
     ops = list(REDUCE_OPS) if kind in _COMBINING else ["sum"]
-    vectorized_op = ops[_ZOO_CASES.index((kind, grid, algorithm, b)) % len(ops)]
+    at = _ZOO_CASES.index((kind, grid, algorithm, b))
+    simulated = {}
+    for i, backend in enumerate(SIM_BACKENDS):
+        simulated.setdefault(ops[(at + i) % len(ops)], []).append(backend)
     for op in ops:
-        factories = (FabricSimulator,)
-        if op == vectorized_op:
-            factories += (_Vectorized,)
-        for label, values in _VALUE_CLASSES.items():
-            rng = np.random.default_rng(b)
-            inputs = {pe: values(rng, max(schedule.buffer_size, 1))
-                      for pe in schedule.programs}
-            _assert_values_match(schedule, inputs, f"{op}/{label}",
-                                 factories, combine=REDUCE_OPS[op])
+        combine = REDUCE_OPS[op]
+        for label in _VALUE_CLASSES:
+            key = golden_key(kind, grid, algorithm, b, op, label)
+            inputs = golden_inputs(schedule, b, label)
+            with np.errstate(invalid="ignore"):     # inf + -inf is NaN
+                assert buffers_sha(final_buffers(
+                    schedule, inputs, combine)) == golden[key], key
+                for backend in simulated.get(op, ()):
+                    sim = simulate(schedule, inputs, combine=combine,
+                                   backend=backend)
+                    assert sim.backend == backend, key
+                    assert buffers_sha(sim.buffers) == golden[key], key
 
 
 @pytest.mark.parametrize(
@@ -107,15 +104,8 @@ def test_control_wavelet_trees(builder):
                                     use_control_wavelets=True)
     assert any(type(op) is SendCtrl for prog in schedule.programs.values()
                for op in prog.ops)
-    _assert_values_match(schedule, _random_inputs(schedule, 8), "ctrl")
-
-
-@settings(max_examples=40, deadline=None)
-@given(_chain_case())
-def test_fuzz_chain_values(case):
-    schedule, kwargs, seed = _chain_schedule(case)
-    _assert_values_match(schedule, _random_inputs(schedule, seed),
-                         "fuzz-chain", **kwargs)
+    _assert_provenance(CollectiveSpec("reduce", row_grid(8), 5), schedule)
+    _differential(schedule, _random_inputs(schedule, 8))
 
 
 @pytest.mark.parametrize("kind,algorithm,b", [
@@ -137,38 +127,28 @@ def test_fig_regime_1x64_is_not_refused(kind, algorithm, b):
 
 
 # ---------------------------------------------------------------------------
-# Refusals
+# Rejections
 # ---------------------------------------------------------------------------
 
 
-def _overlapping_exchange(b):
-    """Two PEs swap vectors with SendRecvs that send and receive the same
-    range: what each sends depends on how far its receive has got."""
-    s = Schedule(grid=Grid(1, 2), buffer_size=b, name="overlapping-sendrecv")
-    for pe, out in ((0, Port.EAST), (1, Port.WEST)):
-        prog = s.program(pe)
-        prog.router[pe] = [RouterRule(accept=Port.RAMP, forward=(out,))]
-        prog.router[1 - pe] = [RouterRule(accept=out, forward=(Port.RAMP,))]
-        prog.ops.append(SendRecv(send_color=pe, recv_color=1 - pe, length=b,
-                                 combine=True))
-    s.validate()
+@pytest.mark.parametrize("error", sorted(_STATIC_ERRORS))
+def test_pass_raises_the_static_errors(error):
+    schedule, kwargs = _invalid(error)
+    exc, match = _STATIC_ERRORS[error]
+    with pytest.raises(exc, match=match):
+        final_buffers(schedule, _random_inputs(schedule, 0), **kwargs)
+
+
+def _deadlocked():
+    """A receiver waiting for wavelets no sender emits."""
+    s = _two_pe(2)
+    del s.programs[1]
     return s
 
 
-def test_overlapping_sendrecv_is_refused():
-    schedule = _overlapping_exchange(4)
-    with pytest.raises(ValuesRefused) as refused:
-        final_buffers(schedule, _random_inputs(schedule, 0))
-    assert refused.value.reason == "sendrecv_overlap"
-    assert refused.value.reason in REFUSALS
-
-
-def test_unmapped_combine_is_refused():
-    schedule = build_schedule("reduce", Grid(1, 4), "tree", 4)
-    with pytest.raises(ValuesRefused) as refused:
-        final_buffers(schedule, _random_inputs(schedule, 0),
-                      combine=lambda a, b: a - b)
-    assert refused.value.reason == "unsupported_combine"
+def test_deadlocked_schedule_is_refused():
+    with pytest.raises(ValuesRefused, match="unfinished"):
+        final_buffers(_deadlocked(), {})
 
 
 def test_telemetry_counts_points_and_refusals():
@@ -179,12 +159,12 @@ def test_telemetry_counts_points_and_refusals():
         with spans.collect() as got:
             final_buffers(schedule, _random_inputs(schedule, 0))
             with pytest.raises(ValuesRefused):
-                final_buffers(_overlapping_exchange(2), {})
+                final_buffers(_deadlocked(), {})
     finally:
         spans.set_enabled(previous)
     delta = METRICS.delta(before)
     assert delta.get("fabric.values.points") == 1
-    assert delta.get("fabric.values.refused{reason=sendrecv_overlap}") == 1
+    assert delta.get("fabric.values.refused") == 1
     assert sum(e["name"] == "fabric.values" for e in got.events
                if e["ph"] == "X") == 2
 
