@@ -388,11 +388,10 @@ def execute_batch(
     timing and get their buffers from the clock-free value pass
     (:mod:`repro.fabric.values`), which is what every simulation
     computes its buffers with.  Points of a plan whose simulation ran on
-    the reference backend, the timing oracle, are simulated one by
-    one.  ``timed``
-    holds outcomes already simulated for some of the plans (matched by
-    ``outcome.plan`` identity, only ``result`` and ``sim.buffers``
-    unused): every point of those plans replays them.
+    the reference backend, the timing oracle, are simulated one by one.
+    ``timed`` holds outcomes already simulated for some of the plans
+    (matched by ``outcome.plan`` identity, only ``result`` and
+    ``sim.buffers`` unused): every point of those plans replays them.
     """
     #: id(plan) -> the outcome later points replay, or None: simulate.
     replayable: Dict[int, Optional[CollectiveOutcome]] = {

@@ -50,10 +50,8 @@ from .ir import (
     K_SEND,
     K_SENDCTRL,
     K_SENDRECV,
-    Delay,
     Recv,
     RecvReduceSend,
-    SampleClock,
     Schedule,
     Send,
     SendCtrl,
@@ -290,9 +288,7 @@ def _step(op) -> Tuple[Optional[int], Optional[int], Optional[int]]:
         return _SEND, None, op.color
     if isinstance(op, SendCtrl):
         return _CTRL_SEND, None, op.color
-    if isinstance(op, (Delay, SampleClock)):
-        return None, None, None
-    raise TypeError(f"unknown op {op!r}")
+    return None, None, None     # Delay, SampleClock (check() knows the rest)
 
 
 def _ends(root: Optional[tuple], wires, resolved, channel) -> _Targets:
