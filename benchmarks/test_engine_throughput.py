@@ -22,9 +22,16 @@ pairs, order alternating and both sessions warmed up first, and the
 warm-vs-serial speedup is the median of the pairs' ratios: on a shared
 host a slow stretch then lands on both halves of a pair instead of on
 one sweep that decides the test.
+
+A speedup over the in-process serial path does not by itself show that
+the pool runs chunks in parallel (a one-process pool can beat it), so
+one more warm sweep, outside the timed pairs, records telemetry: the
+worker-side ``engine.chunk`` spans of at least two pool processes must
+overlap in time.
 """
 
 import gc
+import itertools
 import json
 import statistics
 import time
@@ -34,6 +41,7 @@ import pytest
 
 from repro import CollectiveSpec, Grid
 from repro.engine import EngineSession, default_workers
+from repro.obs.export import use_telemetry
 
 N_POINTS = 64
 P, B = 64, 192
@@ -72,6 +80,18 @@ def _assert_identical(outcomes, reference, label):
         assert ours.algorithm == ref.algorithm, label
 
 
+def _overlapping_worker_pids(events):
+    """Worker pids whose ``engine.chunk`` spans overlap another pid's."""
+    chunks = [e for e in events
+              if e.get("ph") == "X" and e.get("name") == "engine.chunk"]
+    pids = set()
+    for a, b in itertools.combinations(chunks, 2):
+        if (a["tid"] != b["tid"] and a["ts"] < b["ts"] + b["dur"]
+                and b["ts"] < a["ts"] + a["dur"]):
+            pids.update((a["tid"], b["tid"]))
+    return sorted(pids)
+
+
 def test_engine_throughput_64_points(out_dir):
     specs, datas = _batch()
     serial = EngineSession(workers=1)
@@ -107,6 +127,10 @@ def test_engine_throughput_64_points(out_dir):
         finally:
             gc.enable()
         warm_stats = session.stats.as_dict()
+        with use_telemetry() as collected:               # untimed
+            outs = session.sweep(specs, datas)
+        _assert_identical(outs, serial_outs, "traced warm")
+        overlapping = _overlapping_worker_pids(collected.events)
     serial_s = statistics.median(serial_times)
     warm_s = statistics.median(warm_times)
 
@@ -137,6 +161,7 @@ def test_engine_throughput_64_points(out_dir):
         "warm_pool_reuses": warm_stats["pool_reuses"],
         "warm_cold_starts": warm_stats["cold_starts"],
         "chunks": warm_stats["chunks"],
+        "overlapping_worker_pids": len(overlapping),
     }
     (out_dir / "BENCH_engine.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -153,6 +178,8 @@ def test_engine_throughput_64_points(out_dir):
     assert warm_stats["shm_chunks"] == warm_stats["chunks"] > 0
     assert warm_stats["shm_bytes"] > 0
 
+    if cores >= 2:
+        assert len(overlapping) >= 2, report
     speedup = report["speedup_warm_vs_serial"]
     if cores >= 4:
         assert speedup >= 2.0, report

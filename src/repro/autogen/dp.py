@@ -68,6 +68,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..model.costs import equation_1
 from ..model.params import CS2, MachineParams
 
 __all__ = [
@@ -171,11 +172,7 @@ def autogen_best_params(
         return AutogenSolution(p=1, b=b, time=0.0, depth=0, contention=0, energy=0.0)
     table = autogen_tables(p, d_max, c_max)
     energies = table[:, :, p]  # (d, c)
-    d_vals = np.arange(table.shape[0])[:, None]
-    c_vals = np.arange(table.shape[1])[None, :]
-    bw = b * energies / (p - 1) + (p - 1)
-    t = np.maximum(b * c_vals, bw) + d_vals * params.depth_cycles
-    t[np.isinf(energies)] = np.inf
+    t = _times(energies, p, b, params)
     best = np.unravel_index(np.argmin(t), t.shape)
     d_star, c_star = int(best[0]), int(best[1])
     return AutogenSolution(
@@ -210,12 +207,15 @@ def autogen_time_curve(
     bs = np.asarray(bs, dtype=np.float64)
     if p == 1:
         return np.zeros_like(bs)
-    table = autogen_tables(p)
-    energies = table[:, :, p]
-    d_vals = np.arange(table.shape[0])[:, None, None]
-    c_vals = np.arange(table.shape[1])[None, :, None]
-    b_vals = bs[None, None, :]
-    bw = b_vals * energies[:, :, None] / (p - 1) + (p - 1)
-    t = np.maximum(b_vals * c_vals, bw) + d_vals * params.depth_cycles
-    t[np.isinf(energies)[:, :, None].repeat(len(bs), axis=2)] = np.inf
-    return t.min(axis=(0, 1))
+    return _times(autogen_tables(p)[:, :, p], p, bs, params).min(axis=(1, 2))
+
+
+def _times(energies: np.ndarray, p: int, b, params: MachineParams) -> np.ndarray:
+    """Equation (1) at every level ``(D, C)`` of ``energies[d, c]``.
+
+    An array of vector lengths ``b`` leads the result with its own axis.
+    """
+    b = np.asarray(b, dtype=np.float64)[..., None, None]
+    depth = np.arange(energies.shape[0])[:, None]
+    contention = np.arange(energies.shape[1])
+    return equation_1(b * energies, p - 1, depth, b * contention, p - 1, params)

@@ -22,14 +22,7 @@ import numpy as np
 
 from ..model.params import CS2, MachineParams
 from .dp import autogen_time_curve
-from .tree import (
-    ReductionTree,
-    autogen_tree,
-    binomial_tree,
-    chain_tree,
-    star_tree,
-    two_phase_tree,
-)
+from .tree import TREE_BUILDERS, ReductionTree, autogen_tree, chain_tree
 
 __all__ = ["BestTree", "best_reduce_tree", "autogen_hybrid_time",
            "autogen_hybrid_curve", "fixed_tree_candidates"]
@@ -50,12 +43,7 @@ def fixed_tree_candidates(p: int) -> Dict[str, ReductionTree]:
     read-only)."""
     if p == 1:
         return {"chain": chain_tree(1)}
-    return {
-        "star": star_tree(p),
-        "chain": chain_tree(p),
-        "tree": binomial_tree(p),
-        "two_phase": two_phase_tree(p),
-    }
+    return {name: build(p) for name, build in TREE_BUILDERS.items()}
 
 
 def best_reduce_tree(
@@ -97,19 +85,6 @@ def autogen_hybrid_time(p: int, b: int, params: MachineParams = CS2) -> float:
     return best_reduce_tree(p, b, params).time
 
 
-def _tree_time_curve(
-    tree: ReductionTree, bs: np.ndarray, params: MachineParams
-) -> np.ndarray:
-    """Vectorized Equation-(1) time of one tree over many vector lengths."""
-    if tree.p == 1:
-        return np.zeros_like(bs, dtype=float)
-    e = tree.energy()
-    c = tree.contention()
-    d = tree.depth()
-    bw = bs * e / (tree.p - 1) + (tree.p - 1)
-    return np.maximum(bs * c, bw) + d * params.depth_cycles
-
-
 def autogen_hybrid_curve(
     p: int, bs: np.ndarray, params: MachineParams = CS2
 ) -> np.ndarray:
@@ -117,7 +92,6 @@ def autogen_hybrid_curve(
     bs = np.asarray(bs, dtype=np.float64)
     if p == 1:
         return np.zeros_like(bs)
-    curves = [autogen_time_curve(p, bs, params)]
-    for tree in fixed_tree_candidates(p).values():
-        curves.append(_tree_time_curve(tree, bs, params))
-    return np.minimum.reduce(curves)
+    curves = [tree.model_time(bs, params)
+              for tree in fixed_tree_candidates(p).values()]
+    return np.minimum.reduce([autogen_time_curve(p, bs, params), *curves])

@@ -17,6 +17,7 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
+from ..model.costs import equation_1
 from ..model.params import CS2, MachineParams
 from .dp import AutogenSolution, autogen_best_params, autogen_tables
 
@@ -28,6 +29,7 @@ __all__ = [
     "chain_tree",
     "binomial_tree",
     "two_phase_tree",
+    "TREE_BUILDERS",
 ]
 
 
@@ -179,22 +181,21 @@ class ReductionTree:
 
     # -- model evaluation -------------------------------------------------------
 
-    def model_time(self, b: int, params: MachineParams = CS2) -> float:
+    def model_time(self, b, params: MachineParams = CS2):
         """Equation-(1) runtime of executing this tree on a ``b``-vector.
 
         Uses the Auto-Gen synthesis (§5.5): westward links only, so
         ``N = P - 1``; the distance term is the ``P - 1`` hops of the
-        rightmost PE's data.
+        rightmost PE's data.  An array of vector lengths gives an array
+        of times (for ``P > 1``).
         """
         if self.p == 1:
             return 0.0
-        if b < 1:
+        if np.any(np.asarray(b) < 1):
             raise ValueError(f"b must be >= 1, got {b}")
-        bw = b * self.energy() / (self.p - 1) + (self.p - 1)
-        return (
-            max(b * self.contention(), bw)
-            + self.depth() * params.depth_cycles
-        )
+        t = equation_1(b * self.energy(), self.p - 1, self.depth(),
+                       b * self.contention(), self.p - 1, params)
+        return float(t) if np.ndim(t) == 0 else t
 
     def describe(self) -> str:
         """One-line summary used by examples and reports."""
@@ -289,6 +290,17 @@ def two_phase_tree(p: int, group_size: int | None = None) -> ReductionTree:
         tree.children[parent].append(leader)
     tree.validate()
     return tree
+
+
+#: Builders keyed by the paper's algorithm names (Auto-Gen is separate
+#: because it also depends on ``b``; see
+#: :func:`repro.autogen.hybrid.best_reduce_tree`).
+TREE_BUILDERS = {
+    "star": star_tree,
+    "chain": chain_tree,
+    "tree": binomial_tree,
+    "two_phase": two_phase_tree,
+}
 
 
 def autogen_tree(

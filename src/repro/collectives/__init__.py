@@ -35,14 +35,14 @@ from .lanes import col_lane, row_lane, snake_lane, validate_lane
 from .reduce import REDUCE_PATTERNS, reduce_1d_schedule, reduce_tree_for
 from .ring import RING_MAPPINGS, ring_allreduce_schedule, ring_order
 from .tree_schedule import schedule_tree_reduce
-from .trees import (
+from .xy import snake_reduce_schedule, xy_reduce_schedule
+from ..autogen.tree import (
     TREE_BUILDERS,
     binomial_tree,
     chain_tree,
     star_tree,
     two_phase_tree,
 )
-from .xy import snake_reduce_schedule, xy_reduce_schedule
 from ..model.params import CS2
 
 #: Collective kinds understood by :func:`build_schedule` (and by the

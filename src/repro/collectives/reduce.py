@@ -10,13 +10,12 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..autogen.hybrid import best_reduce_tree
-from ..autogen.tree import ReductionTree
+from ..autogen.tree import TREE_BUILDERS, ReductionTree
 from ..fabric.geometry import Grid
 from ..fabric.ir import Schedule
 from ..model.params import CS2, MachineParams
 from .lanes import row_lane
 from .tree_schedule import schedule_tree_reduce
-from .trees import TREE_BUILDERS
 
 __all__ = ["reduce_1d_schedule", "REDUCE_PATTERNS"]
 

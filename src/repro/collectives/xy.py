@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from ..autogen.tree import chain_tree
 from ..fabric.geometry import Grid
 from ..fabric.ir import Schedule, merge_phases, stamp_parallel
 from ..model.params import CS2, MachineParams
 from .lanes import col_lane, row_lane, snake_lane
 from .reduce import reduce_tree_for
 from .tree_schedule import schedule_tree_reduce
-from .trees import chain_tree
 
 __all__ = ["xy_reduce_phases", "xy_reduce_schedule", "snake_reduce_schedule"]
 

@@ -40,7 +40,6 @@ from .planner import (
     best_reduce_1d,
     best_reduce_2d,
     get_tuner_hook,
-    rank_algorithms,
     rank_spec,
     set_tuner_hook,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "best_allreduce_2d",
     "best_reduce_1d",
     "best_reduce_2d",
-    "rank_algorithms",
     "rank_spec",
     "set_tuner_hook",
     "get_tuner_hook",

@@ -15,7 +15,7 @@ etc.) are thin wrappers kept for the benches and notebooks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional
 
 from ..fabric.geometry import Grid
 from ..model.params import CS2, MachineParams
@@ -24,7 +24,7 @@ from .registry import CollectiveSpec
 
 __all__ = ["Choice", "Tuner", "rank_spec", "set_tuner_hook", "get_tuner_hook",
            "best_reduce_1d", "best_allreduce_1d",
-           "best_reduce_2d", "best_allreduce_2d", "rank_algorithms"]
+           "best_reduce_2d", "best_allreduce_2d"]
 
 #: A tuner maps ``(spec, candidate predictions)`` to a measured winner
 #: name, or ``None`` when it has no measurement-backed opinion.
@@ -189,25 +189,3 @@ def best_allreduce_2d(
     return rank_spec(
         CollectiveSpec("allreduce", Grid(m, n), b, params=params), include
     )
-
-
-def rank_algorithms(
-    kind: str,
-    shape: Tuple[int, ...],
-    b: int,
-    params: MachineParams = CS2,
-) -> Choice:
-    """Generic entry point: ``kind`` in {reduce, allreduce} x {1d, 2d}.
-
-    ``shape`` is ``(p,)`` for 1D or ``(m, n)`` for 2D.
-    """
-    table = {
-        ("reduce", 1): best_reduce_1d,
-        ("allreduce", 1): best_allreduce_1d,
-        ("reduce", 2): best_reduce_2d,
-        ("allreduce", 2): best_allreduce_2d,
-    }
-    fn = table.get((kind, len(shape)))
-    if fn is None:
-        raise ValueError(f"unsupported kind={kind!r} with shape {shape}")
-    return fn(*shape, b, params)

@@ -10,14 +10,16 @@ The registry ties together the faces of each algorithm:
 so the planner, the public API and the benchmark harness all agree on
 what exists and what it is called.
 
-Two layers coexist here.  The legacy name tables (:data:`REDUCE_1D` ...)
-carry per-family metadata and closed-form predictors and are kept for the
-benches and the region heatmaps.  On top of them, :data:`COLLECTIVES`
-maps every ``(kind, dims, name)`` triple to a typed
+:data:`COLLECTIVES` maps every ``(kind, dims, name)`` triple to a typed
 :class:`CollectiveEntry` — ``build(spec)`` / ``predict(spec)`` /
 ``feasible(spec)`` over a frozen :class:`CollectiveSpec` — which is the
 single source the plan/execute pipeline in :mod:`repro.core.api` and the
-planner consume.  New algorithms plug in via :func:`register_collective`.
+planner (:func:`repro.core.planner.rank_spec`) consume.  Below it, the
+name tables (:data:`REDUCE_1D` ...) carry each family's metadata, and
+the positional ``*_predict`` functions, which the entries' ``predict``
+and the benches' sweeps and heatmaps call, compose the analytic
+predictions: X-Y as row plus column, AllReduce as Reduce plus
+Broadcast.  New algorithms plug in via :func:`register_collective`.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Public surface:
 
 * :class:`~repro.model.params.MachineParams` / :data:`~repro.model.params.CS2`
-* :class:`~repro.model.costs.CostTerms` -- the five spatial cost terms and
-  Equation (1) synthesis.
+* :class:`~repro.model.costs.CostTerms` -- the five spatial cost terms, and
+  :func:`~repro.model.costs.equation_1`, the one Equation (1) synthesis.
 * :mod:`~repro.model.analytic` -- closed-form predictions per algorithm.
 * :mod:`~repro.model.lower_bound` -- the Lemma 5.5 DP lower bound.
 """
@@ -12,11 +12,11 @@ Public surface:
 from .analytic import (
     REDUCE_1D_TERMS,
     REDUCE_1D_TIMES,
-    allreduce_1d_time,
     broadcast_1d_terms,
     broadcast_1d_time,
     broadcast_2d_terms,
     broadcast_2d_time,
+    butterfly_allreduce_terms,
     butterfly_allreduce_time,
     allgather_time,
     chain_reduce_terms,
@@ -24,6 +24,7 @@ from .analytic import (
     gather_time,
     reduce_scatter_time,
     scatter_time,
+    lower_bound_2d_terms,
     lower_bound_2d_time,
     message_terms,
     message_time,
@@ -39,10 +40,8 @@ from .analytic import (
     two_phase_group_size,
     two_phase_reduce_terms,
     two_phase_reduce_time,
-    xy_allreduce_time,
-    xy_reduce_time,
 )
-from .costs import CostTerms
+from .costs import CostTerms, equation_1
 from .lower_bound import (
     energy_lower_bound_table,
     reduce_lower_bound_curve,
@@ -54,13 +53,14 @@ __all__ = [
     "CS2",
     "MachineParams",
     "CostTerms",
+    "equation_1",
     "REDUCE_1D_TERMS",
     "REDUCE_1D_TIMES",
-    "allreduce_1d_time",
     "broadcast_1d_terms",
     "broadcast_1d_time",
     "broadcast_2d_terms",
     "broadcast_2d_time",
+    "butterfly_allreduce_terms",
     "butterfly_allreduce_time",
     "allgather_time",
     "gather_time",
@@ -68,6 +68,7 @@ __all__ = [
     "scatter_time",
     "chain_reduce_terms",
     "chain_reduce_time",
+    "lower_bound_2d_terms",
     "lower_bound_2d_time",
     "message_terms",
     "message_time",
@@ -83,8 +84,6 @@ __all__ = [
     "two_phase_group_size",
     "two_phase_reduce_terms",
     "two_phase_reduce_time",
-    "xy_allreduce_time",
-    "xy_reduce_time",
     "energy_lower_bound_table",
     "reduce_lower_bound_curve",
     "reduce_lower_bound_time",

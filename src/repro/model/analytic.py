@@ -2,44 +2,51 @@
 
 Each ``*_terms`` function returns the :class:`~repro.model.costs.CostTerms`
 derived in the paper's lemmas; each ``*_time`` function returns the cycle
-prediction the paper states (which for Star uses the refined pipeline
-argument rather than the raw Equation (1) bound).
+prediction the paper states.  Where that prediction is Equation (1) on
+the lemma's own terms, the ``*_time`` function is those terms'
+:meth:`~repro.model.costs.CostTerms.synthesize`: Equation (1) itself is
+written once, in :func:`repro.model.costs.equation_1`.  Three families
+are not Equation (1) and keep their closed forms: Star and
+Gather/Scatter use the refined pipeline argument of §5.1, and
+AllGather/ReduceScatter charge contention *plus* distance rather than
+their maximum.
 
 Conventions:
 
 * ``p`` — number of PEs in the (sub-)row; ``b`` — vector length in
-  *wavelets* (32-bit elements).
+  *wavelets* (32-bit elements).  Both are scalars; the heatmap benches
+  evaluate their grids one cell at a time.
 * 1D Reduce roots at the leftmost PE of the row; Broadcast roots at the
   rightmost PE (as in Sections 4–5).  The formulas only depend on sizes.
 * ``p == 1`` degenerates to zero communication time.
-
-The module is deliberately NumPy-friendly: every ``*_time`` function also
-accepts array-valued ``p``/``b`` so that the heatmap benches (Figures 1, 8,
-10) evaluate entire grids without Python loops.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Union
-
-import numpy as np
+from typing import Callable, Dict
 
 from .costs import CostTerms
 from .params import CS2, MachineParams
 
-ArrayLike = Union[int, float, np.ndarray]
 
-
-def _depth_cycles(params: MachineParams) -> int:
-    return params.depth_cycles
-
-
-def _validate(p: ArrayLike, b: ArrayLike) -> None:
-    if np.any(np.asarray(p) < 1):
+def _validate(p: int, b: int) -> None:
+    if p < 1:
         raise ValueError("number of PEs must be >= 1")
-    if np.any(np.asarray(b) < 1):
+    if b < 1:
         raise ValueError("vector length must be >= 1 wavelet")
+
+
+def _synthesize(terms_fn: Callable[..., CostTerms], p: int, b: int,
+                params: MachineParams, *args) -> float:
+    """Equation (1) on ``terms_fn(p, b, *args)``; one PE costs nothing."""
+    _validate(p, b)
+    return 0.0 if p == 1 else terms_fn(p, b, *args).synthesize(params)
+
+
+def _rounds(p: int) -> int:
+    """Number of tree rounds: ``ceil(log2 p)`` (handles non-powers of two)."""
+    return (int(p) - 1).bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -59,12 +66,9 @@ def message_terms(p: int, b: int) -> CostTerms:
     )
 
 
-def message_time(p: ArrayLike, b: ArrayLike, params: MachineParams = CS2) -> ArrayLike:
+def message_time(p: int, b: int, params: MachineParams = CS2) -> float:
     """:math:`T_{Message} = B + P + 2 T_R` — optimal for a 1D message."""
-    _validate(p, b)
-    p, b = np.asarray(p), np.asarray(b)
-    t = b + p + 2 * params.ramp_latency
-    return np.where(p <= 1, 0.0, t)[()] if isinstance(t, np.ndarray) else t
+    return _synthesize(message_terms, p, b, params)
 
 
 def broadcast_1d_terms(p: int, b: int) -> CostTerms:
@@ -76,12 +80,9 @@ def broadcast_1d_terms(p: int, b: int) -> CostTerms:
     return message_terms(p, b)
 
 
-def broadcast_1d_time(p: ArrayLike, b: ArrayLike, params: MachineParams = CS2) -> ArrayLike:
+def broadcast_1d_time(p: int, b: int, params: MachineParams = CS2) -> float:
     """:math:`T_{Bcast} = B + P + 2 T_R` (Lemma 4.1)."""
-    _validate(p, b)
-    p, b = np.asarray(p), np.asarray(b)
-    t = np.where(p <= 1, 0.0, b + p + 2 * params.ramp_latency)
-    return t[()]
+    return _synthesize(broadcast_1d_terms, p, b, params)
 
 
 # ---------------------------------------------------------------------------
@@ -101,17 +102,15 @@ def star_reduce_terms(p: int, b: int) -> CostTerms:
     )
 
 
-def star_reduce_time(p: ArrayLike, b: ArrayLike, params: MachineParams = CS2) -> ArrayLike:
+def star_reduce_time(p: int, b: int, params: MachineParams = CS2) -> float:
     """Refined Star prediction: :math:`T = B(P-1) + 2T_R + 1`.
 
-    The raw Equation (1) bound over-counts for ``B == 1`` where the sends
-    form a perfect pipeline with no congestion (§5.1); the paper concludes
-    the contention term alone governs the runtime.
+    Not Equation (1): the raw bound over-counts for ``B == 1`` where the
+    sends form a perfect pipeline with no congestion (§5.1); the paper
+    concludes the contention term alone governs the runtime.
     """
     _validate(p, b)
-    p, b = np.asarray(p), np.asarray(b)
-    t = np.where(p <= 1, 0.0, b * (p - 1) + 2 * params.ramp_latency + 1)
-    return t[()]
+    return 0.0 if p == 1 else float(b * (p - 1) + 2 * params.ramp_latency + 1)
 
 
 def chain_reduce_terms(p: int, b: int) -> CostTerms:
@@ -126,28 +125,20 @@ def chain_reduce_terms(p: int, b: int) -> CostTerms:
     )
 
 
-def chain_reduce_time(p: ArrayLike, b: ArrayLike, params: MachineParams = CS2) -> ArrayLike:
+def chain_reduce_time(p: int, b: int, params: MachineParams = CS2) -> float:
     """:math:`T_{Chain} = B + (2T_R + 2)(P-1)` (Lemma 5.2).
 
     Each hop in the chain costs a full receive-combine-send turnaround
     (down the ramp, one compute cycle, up the ramp, one link cycle), and
     the ``B``-wavelet pipeline drains behind the last dependency.
     """
-    _validate(p, b)
-    p, b = np.asarray(p), np.asarray(b)
-    t = np.where(p <= 1, 0.0, b + (2 * params.ramp_latency + 2) * (p - 1))
-    return t[()]
-
-
-def _log2_rounds(p: ArrayLike) -> ArrayLike:
-    """Number of tree rounds: ``ceil(log2 p)`` (handles non-powers of two)."""
-    return np.ceil(np.log2(np.maximum(np.asarray(p, dtype=float), 1.0)))
+    return _synthesize(chain_reduce_terms, p, b, params)
 
 
 def tree_reduce_terms(p: int, b: int) -> CostTerms:
     """Binary-tree Reduce (Lemma 5.3)."""
     _validate(p, b)
-    rounds = int(_log2_rounds(p))
+    rounds = _rounds(p)
     return CostTerms(
         energy=b * p / 2 * rounds,
         distance=p - 1,
@@ -157,7 +148,7 @@ def tree_reduce_terms(p: int, b: int) -> CostTerms:
     )
 
 
-def tree_reduce_time(p: ArrayLike, b: ArrayLike, params: MachineParams = CS2) -> ArrayLike:
+def tree_reduce_time(p: int, b: int, params: MachineParams = CS2) -> float:
     """Lemma 5.3:
 
     .. math::
@@ -165,14 +156,7 @@ def tree_reduce_time(p: ArrayLike, b: ArrayLike, params: MachineParams = CS2) ->
            \\frac{B P \\log_2 P}{2 (P-1)} + P - 1\\right)
            + (2T_R+1) \\log_2 P
     """
-    _validate(p, b)
-    p = np.asarray(p, dtype=float)
-    b = np.asarray(b, dtype=float)
-    rounds = _log2_rounds(p)
-    links = np.maximum(p - 1, 1.0)
-    bw = b * p / 2.0 * rounds / links + (p - 1)
-    t = np.maximum(b * rounds, bw) + _depth_cycles(params) * rounds
-    return np.where(p <= 1, 0.0, t)[()]
+    return _synthesize(tree_reduce_terms, p, b, params)
 
 
 def two_phase_group_size(p: int) -> int:
@@ -211,11 +195,11 @@ def two_phase_reduce_terms(p: int, b: int, group_size: int | None = None) -> Cos
 
 
 def two_phase_reduce_time(
-    p: ArrayLike,
-    b: ArrayLike,
+    p: int,
+    b: int,
     params: MachineParams = CS2,
     group_size: int | None = None,
-) -> ArrayLike:
+) -> float:
     """Lemma 5.4 generalized to arbitrary ``P`` and group size.
 
     For perfect squares with ``S = sqrt(P)`` this reduces to the paper's
@@ -224,20 +208,7 @@ def two_phase_reduce_time(
        T \\le \\max\\left(2B,\\; 2B - \\tfrac{2B}{\\sqrt P} + P\\right)
               + (2\\sqrt P - 2)(2T_R + 1)
     """
-    _validate(p, b)
-    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-    b_arr = np.broadcast_to(np.asarray(b, dtype=float), p_arr.shape).copy()
-    out = np.zeros(p_arr.shape, dtype=float)
-    for idx in np.ndindex(p_arr.shape):
-        pi, bi = int(p_arr[idx]), int(b_arr[idx])
-        if pi <= 1:
-            out[idx] = 0.0
-            continue
-        terms = two_phase_reduce_terms(pi, bi, group_size=group_size)
-        out[idx] = terms.synthesize(params)
-    if np.isscalar(p) and np.isscalar(b):
-        return float(out[0])
-    return out.reshape(np.broadcast(np.asarray(p), np.asarray(b)).shape)
+    return _synthesize(two_phase_reduce_terms, p, b, params, group_size)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +217,10 @@ def two_phase_reduce_time(
 
 
 def reduce_then_broadcast_time(
-    reduce_time: ArrayLike, p: ArrayLike, b: ArrayLike, params: MachineParams = CS2
-) -> ArrayLike:
+    reduce_time: float, p: int, b: int, params: MachineParams = CS2
+) -> float:
     """:math:`T_{Naive} = T_{Reduce} + T_{Bcast}` (§6.1)."""
-    return np.asarray(reduce_time) + broadcast_1d_time(p, b, params)
+    return reduce_time + broadcast_1d_time(p, b, params)
 
 
 def ring_allreduce_terms(p: int, b: int) -> CostTerms:
@@ -270,31 +241,19 @@ def ring_allreduce_terms(p: int, b: int) -> CostTerms:
     )
 
 
-def ring_allreduce_time(p: ArrayLike, b: ArrayLike, params: MachineParams = CS2) -> ArrayLike:
+def ring_allreduce_time(p: int, b: int, params: MachineParams = CS2) -> float:
     """Lemma 6.1:
 
     .. math::
        T_{Ring} = 2(P-1)\\tfrac{B}{P} + 4P - 6 + 2(P-1)(2T_R+1)
     """
-    _validate(p, b)
-    p = np.asarray(p, dtype=float)
-    b = np.asarray(b, dtype=float)
-    t = (
-        2 * (p - 1) * b / p
-        + 4 * p
-        - 6
-        + 2 * (p - 1) * _depth_cycles(params)
-    )
-    return np.where(p <= 1, 0.0, t)[()]
+    return _synthesize(ring_allreduce_terms, p, b, params)
 
 
-def butterfly_allreduce_time(
-    p: ArrayLike,
-    b: ArrayLike,
-    params: MachineParams = CS2,
-    variant: str = "recursive_doubling",
-) -> ArrayLike:
-    """Predicted butterfly AllReduce (Figure 11c's unimplemented curve).
+def butterfly_allreduce_terms(
+    p: int, b: int, variant: str = "recursive_doubling"
+) -> CostTerms:
+    """Butterfly AllReduce terms (Figure 11c's unimplemented curve).
 
     Two classic variants are modelled:
 
@@ -312,25 +271,26 @@ def butterfly_allreduce_time(
       ``repro.collectives.butterfly``) as an extension beyond the paper.
     """
     _validate(p, b)
-    p = np.asarray(p, dtype=float)
-    b = np.asarray(b, dtype=float)
-    rounds = _log2_rounds(p)
-    links = np.maximum(2 * (p - 1), 1.0)
+    rounds = _rounds(p)
+    links = max(1, 2 * (p - 1))
     if variant == "recursive_doubling":
-        energy = b * p * np.maximum(p - 1, 1.0)
-        contention = b * rounds
-        distance = p / 2.0
-        depth = rounds
-    elif variant == "halving_doubling":
-        energy = p * b * rounds
-        contention = 2 * b * (p - 1) / p
-        distance = p
-        depth = 2 * rounds
-    else:
-        raise ValueError(f"unknown butterfly variant {variant!r}")
-    bw = energy / links + distance
-    t = np.maximum(contention, bw) + depth * _depth_cycles(params)
-    return np.where(p <= 1, 0.0, t)[()]
+        return CostTerms(energy=b * p * max(p - 1, 1), distance=p / 2,
+                         depth=rounds, contention=b * rounds, links=links)
+    if variant == "halving_doubling":
+        return CostTerms(energy=p * b * rounds, distance=p, depth=2 * rounds,
+                         contention=2 * b * (p - 1) / p, links=links)
+    raise ValueError(f"unknown butterfly variant {variant!r}")
+
+
+def butterfly_allreduce_time(
+    p: int,
+    b: int,
+    params: MachineParams = CS2,
+    variant: str = "recursive_doubling",
+) -> float:
+    """Predicted butterfly AllReduce: Equation (1) on
+    :func:`butterfly_allreduce_terms` of ``variant``."""
+    return _synthesize(butterfly_allreduce_terms, p, b, params, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -339,47 +299,42 @@ def butterfly_allreduce_time(
 # ---------------------------------------------------------------------------
 
 
-def gather_time(p: ArrayLike, b: ArrayLike, params: MachineParams = CS2) -> ArrayLike:
+def gather_time(p: int, b: int, params: MachineParams = CS2) -> float:
     """Gather of per-PE ``b``-vectors to the row end.
 
     Star-shaped streams serialized into the root: contention
     ``B (P-1)`` dominates (the root must receive that much), plus the
     ramp constant — the Star Reduce's refined pipeline argument applies
-    verbatim.
+    verbatim, so this is :func:`star_reduce_time`, not Equation (1).
     """
-    _validate(p, b)
-    p, b = np.asarray(p), np.asarray(b)
-    t = np.where(p <= 1, 0.0, b * (p - 1) + 2 * params.ramp_latency + 1)
-    return t[()]
+    return star_reduce_time(p, b, params)
 
 
-def scatter_time(p: ArrayLike, b: ArrayLike, params: MachineParams = CS2) -> ArrayLike:
+def scatter_time(p: int, b: int, params: MachineParams = CS2) -> float:
     """Scatter of per-PE ``b``-chunks from the row end (Gather reversed)."""
     return gather_time(p, b, params)
 
 
-def allgather_time(p: ArrayLike, b: ArrayLike, params: MachineParams = CS2) -> ArrayLike:
+def allgather_time(p: int, b: int, params: MachineParams = CS2) -> float:
     """Ring AllGather: ``P-1`` rounds moving whole ``B``-vectors.
 
     Per round every PE receives ``B`` wavelets (contention ``(P-1) B``)
-    while the wrap edge adds the ``2P-3`` distance; depth ``P-1``.
+    while the wrap edge adds the ``2P-3`` distance; depth ``P-1``.  Not
+    Equation (1): contention and distance add rather than overlap.
     """
     _validate(p, b)
-    p = np.asarray(p, dtype=float)
-    b = np.asarray(b, dtype=float)
-    t = (p - 1) * b + 2 * p - 3 + (p - 1) * _depth_cycles(params)
-    return np.where(p <= 1, 0.0, t)[()]
+    if p == 1:
+        return 0.0
+    return float((p - 1) * b + 2 * p - 3 + (p - 1) * (2 * params.ramp_latency + 1))
 
 
-def reduce_scatter_time(
-    p: ArrayLike, b: ArrayLike, params: MachineParams = CS2
-) -> ArrayLike:
-    """Ring ReduceScatter: ``P-1`` rounds moving ``B/P`` chunks."""
+def reduce_scatter_time(p: int, b: int, params: MachineParams = CS2) -> float:
+    """Ring ReduceScatter: ``P-1`` rounds moving ``B/P`` chunks (contention
+    plus distance, as :func:`allgather_time`)."""
     _validate(p, b)
-    p = np.asarray(p, dtype=float)
-    b = np.asarray(b, dtype=float)
-    t = (p - 1) * b / p + 2 * p - 3 + (p - 1) * _depth_cycles(params)
-    return np.where(p <= 1, 0.0, t)[()]
+    if p == 1:
+        return 0.0
+    return (p - 1) * b / p + 2 * p - 3 + (p - 1) * (2 * params.ramp_latency + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -400,82 +355,47 @@ def broadcast_2d_terms(m: int, n: int, b: int) -> CostTerms:
     )
 
 
-def broadcast_2d_time(
-    m: ArrayLike, n: ArrayLike, b: ArrayLike, params: MachineParams = CS2
-) -> ArrayLike:
+def broadcast_2d_time(m: int, n: int, b: int, params: MachineParams = CS2) -> float:
     """Lemma 7.1: :math:`T = B + M + N - 2 + 2T_R + 1`."""
-    m = np.asarray(m, dtype=float)
-    n = np.asarray(n, dtype=float)
-    b = np.asarray(b, dtype=float)
     _validate(m * n, b)
-    t = b + m + n - 2 + 2 * params.ramp_latency + 1
-    return np.where(m * n <= 1, 0.0, t)[()]
+    return 0.0 if m * n == 1 else broadcast_2d_terms(m, n, b).synthesize(params)
 
 
-def xy_reduce_time(
-    reduce_time_fn: Callable[..., ArrayLike],
-    m: ArrayLike,
-    n: ArrayLike,
-    b: ArrayLike,
-    params: MachineParams = CS2,
-) -> ArrayLike:
-    """X-Y Reduce (§7.2): 1D reduce along each row, then along column 0.
-
-    Both phases move the full ``B``-wavelet vector.
-    """
-    return reduce_time_fn(n, b, params) + reduce_time_fn(m, b, params)
-
-
-def snake_reduce_time(
-    m: ArrayLike, n: ArrayLike, b: ArrayLike, params: MachineParams = CS2
-) -> ArrayLike:
+def snake_reduce_time(m: int, n: int, b: int, params: MachineParams = CS2) -> float:
     """Snake Reduce (§7.3): the chain pipeline threaded through all PEs."""
-    m = np.asarray(m)
-    n = np.asarray(n)
     return chain_reduce_time(m * n, b, params)
 
 
-def xy_allreduce_time(
-    allreduce_time_fn: Callable[..., ArrayLike],
-    m: ArrayLike,
-    n: ArrayLike,
-    b: ArrayLike,
-    params: MachineParams = CS2,
-) -> ArrayLike:
-    """2D AllReduce as AllReduce-per-row then AllReduce-per-column (§7.4)."""
-    return allreduce_time_fn(n, b, params) + allreduce_time_fn(m, b, params)
-
-
 def reduce_then_broadcast_2d_time(
-    reduce_2d_time: ArrayLike,
-    m: ArrayLike,
-    n: ArrayLike,
-    b: ArrayLike,
-    params: MachineParams = CS2,
-) -> ArrayLike:
+    reduce_2d_time: float, m: int, n: int, b: int, params: MachineParams = CS2
+) -> float:
     """2D AllReduce as 2D Reduce followed by the efficient 2D Broadcast."""
-    return np.asarray(reduce_2d_time) + broadcast_2d_time(m, n, b, params)
+    return reduce_2d_time + broadcast_2d_time(m, n, b, params)
 
 
-def lower_bound_2d_time(
-    m: ArrayLike, n: ArrayLike, b: ArrayLike, params: MachineParams = CS2
-) -> ArrayLike:
-    """2D Reduce lower bound (Lemma 7.2):
-
-    .. math::
-       T^\\star \\ge \\max\\left(B, \\tfrac{B}{8} + M + N - 2\\right)
-                 + 2T_R + 1
+def lower_bound_2d_terms(m: int, n: int, b: int) -> CostTerms:
+    """2D Reduce lower-bound terms (Lemma 7.2).
 
     Contention at the root is at least ``B``; energy is at least ``P B``
     over at most ``8 P`` link-directions; distance is at least
     ``M + N - 2``, the Manhattan eccentricity of the corner root (the
     1D specialization ``M = 1`` recovers the row bound's ``P - 1``).
     """
-    m = np.asarray(m, dtype=float)
-    n = np.asarray(n, dtype=float)
-    b = np.asarray(b, dtype=float)
-    t = np.maximum(b, b / 8.0 + m + n - 2) + _depth_cycles(params)
-    return np.where(m * n <= 1, 0.0, t)[()]
+    _validate(m * n, b)
+    p = m * n
+    return CostTerms(energy=p * b, distance=m + n - 2, depth=1, contention=b,
+                     links=8 * p)
+
+
+def lower_bound_2d_time(m: int, n: int, b: int, params: MachineParams = CS2) -> float:
+    """2D Reduce lower bound (Lemma 7.2):
+
+    .. math::
+       T^\\star \\ge \\max\\left(B, \\tfrac{B}{8} + M + N - 2\\right)
+                 + 2T_R + 1
+    """
+    _validate(m * n, b)
+    return 0.0 if m * n == 1 else lower_bound_2d_terms(m, n, b).synthesize(params)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +403,7 @@ def lower_bound_2d_time(
 # ---------------------------------------------------------------------------
 
 #: 1D Reduce time predictors keyed by the paper's algorithm names.
-REDUCE_1D_TIMES: Dict[str, Callable[..., ArrayLike]] = {
+REDUCE_1D_TIMES: Dict[str, Callable[..., float]] = {
     "star": star_reduce_time,
     "chain": chain_reduce_time,
     "tree": tree_reduce_time,
@@ -497,19 +417,3 @@ REDUCE_1D_TERMS: Dict[str, Callable[[int, int], CostTerms]] = {
     "tree": tree_reduce_terms,
     "two_phase": two_phase_reduce_terms,
 }
-
-
-def allreduce_1d_time(
-    pattern: str, p: ArrayLike, b: ArrayLike, params: MachineParams = CS2
-) -> ArrayLike:
-    """1D AllReduce prediction for ``pattern``.
-
-    ``pattern`` is a Reduce pattern name (composed with the flooding
-    broadcast, §6.1), or ``"ring"`` / ``"butterfly"``.
-    """
-    if pattern == "ring":
-        return ring_allreduce_time(p, b, params)
-    if pattern == "butterfly":
-        return butterfly_allreduce_time(p, b, params)
-    reduce_time = REDUCE_1D_TIMES[pattern](p, b, params)
-    return reduce_then_broadcast_time(reduce_time, p, b, params)

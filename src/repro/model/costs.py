@@ -19,7 +19,9 @@ Equation (1) synthesizes them into a cycle estimate:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .params import CS2, MachineParams
 
@@ -48,11 +50,8 @@ class CostTerms:
 
     def synthesize(self, params: MachineParams = CS2) -> float:
         """Cycle estimate per Equation (1) of the paper."""
-        bandwidth_term = self.energy / self.links + self.distance
-        return (
-            max(self.contention, bandwidth_term)
-            + params.depth_cycles * self.depth
-        )
+        return float(equation_1(self.energy, self.distance, self.depth,
+                                self.contention, self.links, params))
 
     def dominant_term(self, params: MachineParams = CS2) -> str:
         """Name of the cost term that dominates the estimate.
@@ -61,27 +60,22 @@ class CostTerms:
         or ``"depth"``.  Useful for explaining *why* an algorithm wins or
         loses in a regime, mirroring the paper's discussion in Sections 5–8.
         """
-        bandwidth_term = self.energy / self.links + self.distance
-        depth_term = params.depth_cycles * self.depth
-        comm = max(self.contention, bandwidth_term)
-        if depth_term > comm:
+        bandwidth = replace(self, contention=0, depth=0).synthesize(params)
+        depth_term = replace(self, energy=0, distance=0, contention=0).synthesize(params)
+        if depth_term > max(self.contention, bandwidth):
             return "depth"
-        if self.contention >= bandwidth_term:
+        if self.contention >= bandwidth:
             return "contention"
         return "bandwidth"
 
-    def scaled_by_vector(self, b: int) -> "CostTerms":
-        """Cost terms for a vector of ``b`` wavelets given per-scalar terms.
 
-        Energy and contention grow linearly with the vector length; depth,
-        distance and link usage are properties of the pattern itself.
-        """
-        if b < 1:
-            raise ValueError(f"vector length must be >= 1, got {b}")
-        return CostTerms(
-            energy=self.energy * b,
-            distance=self.distance,
-            depth=self.depth,
-            contention=self.contention * b,
-            links=self.links,
-        )
+def equation_1(energy, distance, depth, contention, links, params: MachineParams = CS2):
+    """Equation (1), elementwise: ``max(C, E/N + L) + (2 T_R + 1) D``.
+
+    The one place the model combines its terms: every prediction, the
+    Auto-Gen search and the lower bound call it.  The arguments may be
+    scalars or broadcastable arrays, so a DP table or a curve over many
+    vector lengths is one call; ``inf`` energy gives ``inf`` time.
+    """
+    return (np.maximum(contention, energy / links + distance)
+            + params.depth_cycles * depth)

@@ -32,6 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .costs import equation_1
 from .params import CS2, MachineParams
 
 __all__ = [
@@ -85,15 +86,7 @@ def reduce_lower_bound_time(
     """Runtime lower bound :math:`T^\\star(P, B)` for 1D Reduce in cycles."""
     if p < 1 or b < 1:
         raise ValueError("p and b must be >= 1")
-    if p == 1:
-        return 0.0
-    table = energy_lower_bound_table(p)
-    energies = table[1:, p]  # depth d = 1 .. p-1
-    depths = np.arange(1, table.shape[0])
-    candidates = (
-        b * energies / (p - 1) + (p - 1) + depths * params.depth_cycles
-    )
-    return float(candidates.min())
+    return float(reduce_lower_bound_curve(p, np.array([b]), params)[0])
 
 
 def reduce_lower_bound_curve(
@@ -101,8 +94,9 @@ def reduce_lower_bound_curve(
 ) -> np.ndarray:
     """Vectorized :func:`reduce_lower_bound_time` over many vector lengths.
 
-    Evaluates the min over depths for every ``b`` in ``bs`` with a single
-    outer-product pass; used by the Figure 1 heatmap bench.
+    Equation (1) with zero contention at every depth ``d >= 1``, minimized
+    over ``d`` for every ``b`` in ``bs`` in one pass; used by the Figure 1
+    heatmap bench.
     """
     bs = np.asarray(bs, dtype=np.float64)
     if p < 1:
@@ -112,12 +106,6 @@ def reduce_lower_bound_curve(
     if p == 1:
         return np.zeros_like(bs)
     table = energy_lower_bound_table(p)
-    energies = table[1:, p]
-    depths = np.arange(1, table.shape[0])
-    # candidates[d, b] -> min over d
-    cand = (
-        bs[None, :] * (energies / (p - 1))[:, None]
-        + (p - 1)
-        + (depths * params.depth_cycles)[:, None]
-    )
-    return cand.min(axis=0)
+    energies = table[1:, p, None]  # depth d = 1 .. p-1, one row per depth
+    depths = np.arange(1, table.shape[0])[:, None]
+    return equation_1(bs * energies, p - 1, depths, 0, p - 1, params).min(axis=0)

@@ -10,7 +10,7 @@ from repro.collectives import (
     xy_allreduce_schedule,
 )
 from repro.fabric import Grid, row_grid, simulate
-from repro.model import analytic
+from repro.core.registry import allreduce_1d_predict
 
 TREE_PATTERNS = ["star", "chain", "tree", "two_phase", "autogen"]
 
@@ -36,7 +36,7 @@ class Test1DAllReduce:
             allreduce_1d_schedule(grid, "chain", b),
             inputs={k: v.copy() for k, v in inputs.items()},
         )
-        predicted = analytic.allreduce_1d_time("chain", p, b)
+        predicted = allreduce_1d_predict("chain", p, b)
         assert abs(sim.cycles - predicted) / predicted < 0.1
 
     def test_single_pe(self):

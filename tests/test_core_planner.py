@@ -139,20 +139,21 @@ class TestBest2D:
         assert choice.algorithm in {"star", "tree"}
 
 
-class TestRankAlgorithms:
+class TestRankSpecDispatch:
     def test_dispatch_1d(self):
-        c = planner.rank_algorithms("reduce", (16,), 64)
+        c = planner.rank_spec(CollectiveSpec("reduce", Grid(1, 16), 64))
         assert c.algorithm in registry.REDUCE_1D
 
     def test_dispatch_2d(self):
-        c = planner.rank_algorithms("allreduce", (8, 8), 64)
+        c = planner.rank_spec(CollectiveSpec("allreduce", Grid(8, 8), 64))
         assert c.algorithm in registry.ALLREDUCE_2D
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
-            planner.rank_algorithms("gather", (4,), 8)
+            planner.rank_spec(CollectiveSpec("reduce", Grid(1, 4), 8),
+                              include=("nope",))
         with pytest.raises(ValueError):
-            planner.rank_algorithms("reduce", (1, 2, 3), 8)
+            CollectiveSpec("scan", Grid(1, 4), 8)
 
 
 class TestRegistry:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import registry
 from repro.model import analytic
 from repro.model.params import CS2
 
@@ -31,11 +32,8 @@ class TestMessageAndBroadcast:
         assert t.contention == 16
         assert t.links == 7
 
-    def test_vectorized_over_p(self):
-        ps = np.array([2, 4, 8])
-        out = analytic.broadcast_1d_time(ps, 16)
-        assert out.shape == (3,)
-        assert out[1] == 16 + 4 + 2 * TR
+    def test_single_pe_message_is_free(self):
+        assert analytic.message_time(1, 100) == 0.0
 
 
 class TestStar:
@@ -140,7 +138,7 @@ class TestRing:
         # The paper's point: ring is depth-bound on the WSE, so
         # Reduce-then-Broadcast beats it except for huge vectors.
         p, b = 512, 256
-        chain_ar = analytic.allreduce_1d_time("chain", p, b)
+        chain_ar = registry.allreduce_1d_predict("chain", p, b)
         ring = analytic.ring_allreduce_time(p, b)
         assert chain_ar < ring
 
@@ -149,11 +147,11 @@ class TestAllReduce1D:
     def test_reduce_then_broadcast_sum(self):
         p, b = 16, 32
         r = analytic.chain_reduce_time(p, b)
-        total = analytic.allreduce_1d_time("chain", p, b)
-        assert total == pytest.approx(r + analytic.broadcast_1d_time(p, b))
+        total = registry.allreduce_1d_predict("chain", p, b)
+        assert total == r + analytic.broadcast_1d_time(p, b)
 
     def test_ring_route(self):
-        assert analytic.allreduce_1d_time("ring", 8, 64) == pytest.approx(
+        assert registry.allreduce_1d_predict("ring", 8, 64) == (
             analytic.ring_allreduce_time(8, 64)
         )
 
@@ -161,9 +159,17 @@ class TestAllReduce1D:
         t = analytic.butterfly_allreduce_time(64, 256)
         assert np.isfinite(t) and t > 0
 
+    def test_butterfly_is_equation_one_on_its_terms(self):
+        for variant in ("recursive_doubling", "halving_doubling"):
+            terms = analytic.butterfly_allreduce_terms(64, 256, variant)
+            assert analytic.butterfly_allreduce_time(
+                64, 256, variant=variant) == terms.synthesize()
+        with pytest.raises(ValueError):
+            analytic.butterfly_allreduce_terms(8, 8, "nope")
+
     def test_unknown_pattern_raises(self):
-        with pytest.raises(KeyError):
-            analytic.allreduce_1d_time("nope", 8, 8)
+        with pytest.raises(ValueError):
+            registry.allreduce_1d_predict("nope", 8, 8)
 
 
 class Test2D:
@@ -181,8 +187,8 @@ class Test2D:
 
     def test_xy_composition_adds(self):
         m, n, b = 4, 8, 16
-        t = analytic.xy_reduce_time(analytic.chain_reduce_time, m, n, b)
-        assert t == pytest.approx(
+        t = registry.reduce_2d_predict("chain", m, n, b)
+        assert t == (
             analytic.chain_reduce_time(n, b) + analytic.chain_reduce_time(m, b)
         )
 

@@ -1,8 +1,12 @@
 """Unit tests for the cost-term synthesis (Equation 1, Table 1)."""
 
+import ast
+import pathlib
+
+import numpy as np
 import pytest
 
-from repro.model.costs import CostTerms
+from repro.model.costs import CostTerms, equation_1
 from repro.model.params import CS2, MachineParams
 
 
@@ -41,23 +45,17 @@ class TestDominantTerm:
         assert terms(e=1, l=1, d=100, c=1, n=1).dominant_term() == "depth"
 
 
-class TestScaling:
-    def test_scaled_by_vector(self):
-        t = terms(e=10, l=4, d=2, c=3, n=5).scaled_by_vector(7)
-        assert t.energy == 70
-        assert t.contention == 21
-        # pattern-shape terms unchanged
-        assert t.distance == 4
-        assert t.depth == 2
-        assert t.links == 5
+class TestEquationOne:
+    def test_arrays_match_scalars(self):
+        # The one Equation (1): elementwise over broadcast arrays, and each
+        # element equals the scalar synthesis bit for bit.
+        bs = np.array([1.0, 7.0, 64.0])
+        curve = equation_1(bs * 10, 4, 2, bs * 3, 5, CS2)
+        for b, t in zip(bs, curve):
+            assert t == terms(e=b * 10, l=4, d=2, c=b * 3, n=5).synthesize(CS2)
 
-    def test_scale_by_one_is_identity(self):
-        t = terms()
-        assert t.scaled_by_vector(1) == t
-
-    def test_scale_rejects_zero(self):
-        with pytest.raises(ValueError):
-            terms().scaled_by_vector(0)
+    def test_infinite_energy_is_infinite_time(self):
+        assert equation_1(np.inf, 1, 1, 1, 1) == np.inf
 
 
 class TestValidation:
@@ -72,3 +70,22 @@ class TestValidation:
     def test_rejects_negative_depth(self):
         with pytest.raises(ValueError):
             CostTerms(energy=1, distance=1, depth=-2, contention=1, links=1)
+
+
+SRC = pathlib.Path(__file__).parent.parent / "src" / "repro"
+
+
+def test_equation_one_is_written_once():
+    # Equation (1) charges (2 T_R + 1) cycles per unit of depth, so any
+    # copy of it reads ``depth_cycles``.  Only ``equation_1`` may: a new
+    # prediction builds CostTerms and synthesizes them instead.
+    readers, definitions = set(), set()
+    for path in SRC.rglob("*.py"):
+        where = str(path.relative_to(SRC))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "depth_cycles":
+                readers.add(where)
+            elif isinstance(node, ast.FunctionDef) and node.name == "depth_cycles":
+                definitions.add(where)
+    assert readers == {"model/costs.py"}
+    assert definitions == {"model/params.py"}

@@ -33,10 +33,8 @@ class TestGatherScatter:
         for p in [4, 16, 64]:
             assert gather_time(p, 32) >= broadcast_1d_time(p, 32) - 10
 
-    def test_vectorized(self):
-        ps = np.array([2, 4, 8])
-        out = gather_time(ps, 16)
-        assert out.shape == (3,)
+    def test_grows_with_p(self):
+        out = [gather_time(p, 16) for p in (2, 4, 8)]
         assert np.all(np.diff(out) > 0)
 
 

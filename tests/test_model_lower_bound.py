@@ -93,6 +93,19 @@ class TestRuntimeBound:
         for i, b in enumerate(bs):
             assert curve[i] == pytest.approx(reduce_lower_bound_time(17, int(b)))
 
+    @pytest.mark.parametrize("tr", [1, 2, 7])
+    def test_curve_equals_scalar_bit_for_bit(self, tr):
+        # Both go through one Equation (1) with zero contention, so the
+        # curve and the scalar agree exactly, off the powers of two too
+        # (b * (E / (P-1)) and (b * E) / (P-1) differ in the last ulp,
+        # e.g. at P=4, B=7).
+        params = CS2.with_ramp_latency(tr)
+        bs = np.array([1, 3, 5, 7, 11, 13, 63, 100, 999, 4095])
+        for p in (3, 4, 5, 6, 7, 12, 17, 31, 33, 63, 100):
+            curve = reduce_lower_bound_curve(p, bs, params)
+            scalars = [reduce_lower_bound_time(p, int(b), params) for b in bs]
+            assert curve.tolist() == scalars, p
+
     def test_curve_single_pe(self):
         assert np.all(reduce_lower_bound_curve(1, np.array([1, 2, 3])) == 0)
 

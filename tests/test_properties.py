@@ -15,6 +15,7 @@ from repro.autogen.dp import autogen_tables, autogen_time
 from repro.autogen.hybrid import autogen_hybrid_time, fixed_tree_candidates
 from repro.autogen.tree import ReductionTree, autogen_tree
 from repro.collectives.tree_schedule import schedule_tree_reduce
+from repro.core.registry import allreduce_1d_predict
 from repro.fabric import row_grid, simulate
 from repro.model import analytic
 from repro.model.lower_bound import energy_lower_bound_table, reduce_lower_bound_time
@@ -189,7 +190,7 @@ class TestModelProperties:
     @given(p=ps, b=bs)
     def test_allreduce_at_least_reduce(self, p, b):
         for name in ("star", "chain", "tree", "two_phase"):
-            ar = analytic.allreduce_1d_time(name, p, b)
+            ar = allreduce_1d_predict(name, p, b)
             r = analytic.REDUCE_1D_TIMES[name](p, b)
             assert ar >= r
 
