@@ -13,7 +13,12 @@ append-only.  Its first row holds ``perf/baseline.json``'s medians.
 
 Rows compare only within a series: consecutive rows with the same host
 fingerprint (cores, python, numpy, machine).  A row with another
-fingerprint starts a new series; it is not a regression.  This script is
+fingerprint starts a new series; it is not a regression.  A shared host
+also runs slower on some days than on others, so the host block carries
+``perf/harness.calibrate``'s two fixed loops, ``host.calib_python_s``
+and ``host.calib_numpy_s``, each timed as ``[before, after]`` the runs:
+a row whose calibration reads slower than its predecessor's was
+measured on a slower host, not necessarily slower code.  This script is
 not collected by pytest.
 """
 
@@ -32,6 +37,8 @@ from typing import Dict, List
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRAJECTORY = ROOT / "BENCH_perf.json"
 RUN = ROOT / "perf" / "run.py"
+#: The host calibration figures a row records before and after its runs.
+CALIBRATION = ("host.calib_python_s", "host.calib_numpy_s")
 #: One all-workload ``perf/run.py`` run per entry, as ``perf/baseline.json``.
 SEEDS = tuple(range(10)) * 2
 
@@ -64,7 +71,18 @@ def measure(out: str) -> None:
                        check=True, cwd=str(ROOT), stdout=subprocess.DEVNULL)
 
 
-def summarise(records: List[Dict[str, object]], pr: int, commit: str) -> Dict[str, object]:
+def calibrate() -> Dict[str, float]:
+    """``perf/harness.calibrate()``: seconds of two fixed loops on this host."""
+    sys.path.insert(0, str(ROOT / "perf"))
+    try:
+        import harness
+    finally:
+        sys.path.pop(0)
+    return harness.calibrate()
+
+
+def summarise(records: List[Dict[str, object]], pr: int, commit: str,
+              calibration: Dict[str, List[float]]) -> Dict[str, object]:
     names = [m["name"] for m in contract()["end_to_end"]]
     if any(r["failed"] for r in records):
         sys.exit("perf_row: a run had failed ops; no row written")
@@ -81,17 +99,22 @@ def summarise(records: List[Dict[str, object]], pr: int, commit: str) -> Dict[st
         workloads[entry["name"]] = {
             m: median(r["metrics"][m]["value"] for r in runs) for m in names}
     return {"pr": pr, "commit": commit,
-            "host": fingerprint(records[0]["host"]), "workloads": workloads}
+            "host": {**fingerprint(records[0]["host"]), **calibration},
+            "workloads": workloads}
 
 
 def show(rows: List[Dict[str, object]]) -> None:
     """Each row's medians, with the ratio to the previous row of its series."""
     previous = None
     for row in rows:
-        if previous is None or row["host"] != previous["host"]:
-            print(f"-- series: {row['host']}")
+        if previous is None or fingerprint(row["host"]) != fingerprint(previous["host"]):
+            print(f"-- series: {fingerprint(row['host'])}")
             previous = None
-        print(f"PR {row['pr']} @ {row['commit'][:10]}")
+        calibration = "  ".join(
+            f"{name}={'/'.join(f'{v:.4g}' for v in row['host'][name])}"
+            for name in CALIBRATION if name in row["host"])
+        print(f"PR {row['pr']} @ {row['commit'][:10]}"
+              + (f"  (before/after: {calibration})" if calibration else ""))
         for w, metrics in row["workloads"].items():
             cells = []
             for m, v in metrics.items():
@@ -116,6 +139,7 @@ def main(argv: List[str] = None) -> int:
     if args.pr is None:
         parser.error("--pr is required to append a row")
     commit = clean_head()
+    before = calibrate()
     fd, path = tempfile.mkstemp(suffix=".jsonl")
     os.close(fd)
     try:
@@ -123,10 +147,12 @@ def main(argv: List[str] = None) -> int:
         text = pathlib.Path(path).read_text()
     finally:
         os.unlink(path)
+    after = calibrate()
+    calibration = {name: [before[name], after[name]] for name in CALIBRATION}
     if clean_head() != commit:
         sys.exit("perf_row: HEAD moved during the runs; no row written")
     records = [json.loads(line) for line in text.splitlines() if line.strip()]
-    rows.append(summarise(records, args.pr, commit))
+    rows.append(summarise(records, args.pr, commit, calibration))
     TRAJECTORY.write_text(json.dumps(rows, indent=1) + "\n")
     show(rows[-2:])
     return 0

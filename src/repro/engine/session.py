@@ -257,9 +257,9 @@ class EngineSession:
     :class:`TuneDB` or a path to one) re-warms the process-wide plan
     cache on :meth:`attach`.  One session can run many sweeps;
     :attr:`stats` accumulates across them.  Read-only state:
-    :attr:`pool` (the persistent executor, ``None`` until needed),
-    :attr:`closed`, :attr:`degraded` (gave up on pools for good) and
-    :attr:`pool_deaths`.
+    :attr:`processes`, :attr:`pool` (the persistent executor, ``None``
+    until needed), :attr:`closed`, :attr:`degraded` (gave up on pools
+    for good) and :attr:`pool_deaths`.
 
     Knobs (``None`` resolves the environment, then the default):
 
@@ -287,8 +287,7 @@ class EngineSession:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = default_workers() if workers is None else int(workers)
-        #: pool processes, and most chunks in flight at once.
-        self.processes = min(self.workers, default_workers())
+        self._processes = min(self.workers, default_workers())
         timeout = _knob(chunk_timeout, "chunk_timeout", "REPRO_CHUNK_TIMEOUT",
                         None, float)
         self.chunk_timeout = timeout if timeout and timeout > 0 else None
@@ -310,6 +309,15 @@ class EngineSession:
         #: the pool has not yet finished a sweep (that sweep is the cold one).
         self._pool_fresh = False
         self._hydrated = False
+
+    @property
+    def processes(self) -> int:
+        """Pool processes, which also sizes the chunks in flight at once.
+
+        Read-only: the pool is built with this many processes, so a new
+        value after :meth:`attach` would change the in-flight cap alone.
+        """
+        return self._processes
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -59,9 +59,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Set, Tuple
-
-import numpy as np
+from typing import Any, Dict, Optional, Set, Tuple, Union
 
 from ..core import config as _config
 from ..core.api import plan as _lib_plan
@@ -72,7 +70,6 @@ from ..engine.session import EngineSession
 from ..engine.store import TuneDB, default_db_path
 from ..obs import spans as _obs
 from ..obs.metrics import METRICS
-from . import schemas
 from .schemas import (
     ErrorResponse,
     HealthResponse,
@@ -399,17 +396,21 @@ class PlannerService:
     async def _write_response(
         writer: asyncio.StreamWriter,
         status: int,
-        payload: Dict[str, Any],
+        payload: Union[Dict[str, Any], bytes],
         keep_alive: bool,
     ) -> None:
-        body = json.dumps(payload).encode()
+        """Send one response; ``payload`` is a JSON-able dict or the body."""
+        if isinstance(payload, bytes):
+            body, retry_after = payload, None
+        else:
+            body = json.dumps(payload).encode()
+            retry_after = payload.get("retry_after")
         text = _STATUS_TEXT.get(status, "Unknown")
         head = (
             f"HTTP/1.1 {status} {text}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
         )
-        retry_after = payload.get("retry_after")
         if retry_after is not None:
             head += f"Retry-After: {max(1, int(retry_after + 0.999))}\r\n"
         connection = "keep-alive" if keep_alive else "close"
@@ -421,7 +422,7 @@ class PlannerService:
 
     async def _route(
         self, method: str, path: str, headers: Dict[str, str], body: bytes
-    ) -> Tuple[int, Dict[str, Any]]:
+    ) -> Tuple[int, Union[Dict[str, Any], bytes]]:
         path = path.split("?", 1)[0]
         if path == "/healthz":
             self._require(method, "GET")
@@ -450,6 +451,8 @@ class PlannerService:
                 response = await self._admitted(path, handler(payload))
         else:
             response = await self._admitted(path, handler(payload))
+        if path == "/sweep":  # bulk arrays: the body is written from them
+            return 200, response.to_json().encode()
         return 200, response.to_payload()
 
     @staticmethod
@@ -548,19 +551,16 @@ class PlannerService:
             session = self.session
             assert session is not None, "service not started"
             results = session.sweep(specs, datas)
-        out = []
-        for outcome in results:
-            result = None
-            if request.return_results:
-                result = schemas._freeze(np.asarray(outcome.result).tolist())
-            out.append(SweepOutcome(
+        return [
+            SweepOutcome(
                 algorithm=outcome.algorithm,
                 predicted_cycles=outcome.predicted_cycles,
                 measured_cycles=outcome.measured_cycles,
                 backend=outcome.sim.backend,
-                result=result,
-            ))
-        return out
+                result=outcome.result if request.return_results else None,
+            )
+            for outcome in results
+        ]
 
     async def _handle_tune(self, payload: Any) -> TuneResponse:
         request = TuneRequest.from_payload(payload)

@@ -20,6 +20,23 @@ library path would, which is what makes "service result == library
 result, bit-identical" a testable claim: JSON floats round-trip float64
 exactly (``repr`` shortest-round-trip on write, exact binary64 on parse).
 
+Bulk arrays — :attr:`SweepItem.data` and :attr:`SweepOutcome.result` —
+are held as read-only float64 ndarrays, converted once in each
+direction.  Decoding is one ``np.array`` over the parsed lists; an
+element that is not a number (null, a string, a boolean, an object)
+or a ragged array is a :class:`ValidationError` on that field, never a
+silent NaN.  Encoding skips the lists: :meth:`SweepRequest.to_json` and
+:meth:`SweepResponse.to_json` write the body text straight from the
+arrays, byte for byte what ``json.dumps(x.to_payload())`` writes (the
+wire format is the same one).  Float ``repr`` is most of that cost, so
+the writer formats fewer floats where it can: an array whose rows
+(sub-arrays along the first axis) are all bit-identical to row 0 — the
+same vector on every PE, as a Broadcast or AllReduce leaves it — is
+written as row 0's text repeated, at every level of nesting.  Rows are
+compared as ``uint64`` bits, so ``-0.0`` against ``0.0`` or two NaN
+payloads count as different rows.  ``to_payload()`` stays the JSON-able
+dict (arrays as lists) for callers that want one.
+
 Machine parameters are the default :data:`~repro.model.params.CS2` —
 the service serves one machine; callers needing custom params hold the
 library directly.
@@ -27,6 +44,7 @@ library directly.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -218,13 +236,83 @@ class PlanResponse:
         )
 
 
-@dataclass(frozen=True)
+#: What ``np.array`` makes of JSON elements that are not numbers.
+_NOT_NUMBERS = {"b": "booleans", "U": "strings",
+                "O": "nulls, objects or integers beyond 64 bits"}
+
+
+def _float_array(data: Any) -> np.ndarray:
+    """``data`` as a read-only float64 ndarray (held as is if it is one).
+
+    Anything else is copied by one ``np.array``.  Elements that are not
+    numbers raise ``ValueError`` — ``np.asarray(data, dtype=float64)``
+    would turn null into NaN, parse ``"1.5"`` and raise ``TypeError`` on
+    an object — as does a ragged array.
+    """
+    if (isinstance(data, np.ndarray) and data.dtype == np.float64
+            and not data.flags.writeable):
+        return data
+    array = np.array(data)
+    if array.dtype.kind not in "fiu":
+        raise ValueError("expected numbers, got "
+                         + _NOT_NUMBERS.get(array.dtype.kind, str(array.dtype)))
+    array = array.astype(np.float64, copy=False)
+    array.flags.writeable = False
+    return array
+
+
+def _same_array(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
+    """Bit identity of two optional float64 arrays: shape and bytes."""
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _array_json(array: np.ndarray) -> str:
+    """``json.dumps(array.tolist())``, byte for byte.
+
+    An array whose rows are all bit-identical to row 0 is written as row
+    0's text, formatted once and repeated; row 0 gets the same rule.
+    """
+    if array.ndim > 1 and len(array) > 1:
+        bits = array.view(np.uint64)
+        if (bits == bits[0]).all():
+            row = _array_json(array[0])
+            return "[" + ", ".join([row] * len(array)) + "]"
+    return json.dumps(array.tolist())
+
+
+def _json_with(head: Dict[str, Any], key: str,
+               array: Optional[np.ndarray]) -> str:
+    """``json.dumps(head)`` with ``key: array`` appended as the last field."""
+    text = json.dumps(head)
+    if array is None:
+        return text
+    return f"{text[:-1]}, {json.dumps(key)}: {_array_json(array)}}}"
+
+
+@dataclass(frozen=True, eq=False)
 class SweepItem:
-    """One sweep point: a spec plus its input (seed or explicit data)."""
+    """One sweep point: a spec plus its input (seed or explicit data).
+
+    ``data`` may be given as nested lists, tuples or an ndarray; it is
+    held as a read-only float64 ndarray.  Equality is bit identity of
+    the array; items are not hashable.
+    """
 
     spec: SpecRequest
     seed: Optional[int] = None
-    data: Optional[Tuple] = None
+    data: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        if self.data is not None:
+            object.__setattr__(self, "data", _float_array(self.data))
+
+    def __eq__(self, other: Any) -> bool:
+        if not isinstance(other, SweepItem):
+            return NotImplemented
+        return ((self.spec, self.seed) == (other.spec, other.seed)
+                and _same_array(self.data, other.data))
 
     @classmethod
     def from_payload(cls, payload: Any, where: str = "") -> "SweepItem":
@@ -248,41 +336,36 @@ class SweepItem:
         if data is not None and not isinstance(data, (list, tuple)):
             errs.add("data", f"expected a nested array, got {data!r}")
             data = None
+        if data is not None:
+            try:
+                data = _float_array(data)
+            except ValueError as exc:
+                errs.add("data", f"not a numeric array: {exc}")
+                data = None
         errs.raise_if_any()
-        return cls(spec=spec, seed=seed,
-                   data=None if data is None else _freeze(data))
+        return cls(spec=spec, seed=seed, data=data)
 
-    def to_payload(self) -> Dict[str, Any]:
+    def _head(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"spec": self.spec.to_payload()}
         if self.seed is not None:
             out["seed"] = self.seed
-        if self.data is not None:
-            out["data"] = _thaw(self.data)
         return out
+
+    def to_payload(self) -> Dict[str, Any]:
+        out = self._head()
+        if self.data is not None:
+            out["data"] = self.data.tolist()
+        return out
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_payload())``, written from the array."""
+        return _json_with(self._head(), "data", self.data)
 
     def input_array(self) -> np.ndarray:
         """The float64 input this item describes (seeded or explicit)."""
         if self.data is not None:
-            try:
-                return np.asarray(_thaw(self.data), dtype=np.float64)
-            except ValueError as exc:
-                raise ValidationError([{
-                    "field": "data", "message": f"not a numeric array: {exc}",
-                }])
+            return self.data
         return seeded_input(self.spec.to_spec(), self.seed or 0)
-
-
-def _freeze(data) -> Tuple:
-    """Nested lists -> nested tuples (keeps the dataclass hashable)."""
-    if isinstance(data, (list, tuple)):
-        return tuple(_freeze(x) for x in data)
-    return data
-
-
-def _thaw(data):
-    if isinstance(data, tuple):
-        return [_thaw(x) for x in data]
-    return data
 
 
 @dataclass(frozen=True)
@@ -319,43 +402,69 @@ class SweepRequest:
             "return_results": self.return_results,
         }
 
+    def to_json(self) -> str:
+        """``json.dumps(self.to_payload())``, written from the arrays."""
+        items = ", ".join(item.to_json() for item in self.items)
+        return (f'{{"items": [{items}], '
+                f'"return_results": {json.dumps(self.return_results)}}}')
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class SweepOutcome:
-    """One executed sweep point (result array only when asked for)."""
+    """One executed sweep point (result array only when asked for).
+
+    ``result`` is held as a read-only float64 ndarray; equality is bit
+    identity of it (NaN-safe); outcomes are not hashable.
+    """
 
     algorithm: str
     predicted_cycles: float
     measured_cycles: int
     backend: str
-    result: Optional[Tuple] = None
+    result: Optional[np.ndarray] = None
 
-    def to_payload(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
+    def __post_init__(self) -> None:
+        if self.result is not None:
+            object.__setattr__(self, "result", _float_array(self.result))
+
+    def __eq__(self, other: Any) -> bool:
+        if not isinstance(other, SweepOutcome):
+            return NotImplemented
+        return (self._head() == other._head()
+                and _same_array(self.result, other.result))
+
+    def _head(self) -> Dict[str, Any]:
+        return {
             "algorithm": self.algorithm,
             "predicted_cycles": self.predicted_cycles,
             "measured_cycles": self.measured_cycles,
             "backend": self.backend,
         }
+
+    def to_payload(self) -> Dict[str, Any]:
+        out = self._head()
         if self.result is not None:
-            out["result"] = _thaw(self.result)
+            out["result"] = self.result.tolist()
         return out
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_payload())``, written from the array."""
+        return _json_with(self._head(), "result", self.result)
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "SweepOutcome":
-        result = payload.get("result")
         return cls(
             algorithm=payload["algorithm"],
             predicted_cycles=payload["predicted_cycles"],
             measured_cycles=payload["measured_cycles"],
             backend=payload["backend"],
-            result=None if result is None else _freeze(result),
+            result=payload.get("result"),
         )
 
     def result_array(self) -> np.ndarray:
         if self.result is None:
             raise ValueError("sweep ran with return_results=False")
-        return np.asarray(_thaw(self.result), dtype=np.float64)
+        return self.result
 
 
 @dataclass(frozen=True)
@@ -364,6 +473,11 @@ class SweepResponse:
 
     def to_payload(self) -> Dict[str, Any]:
         return {"outcomes": [o.to_payload() for o in self.outcomes]}
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_payload())``, written from the arrays."""
+        return ('{"outcomes": ['
+                + ", ".join(o.to_json() for o in self.outcomes) + "]}")
 
     @classmethod
     def from_payload(cls, payload: Any) -> "SweepResponse":

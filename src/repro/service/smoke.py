@@ -4,10 +4,12 @@
 boots ``python -m repro.service --port 0`` as a real subprocess (own
 process group), parses the ready line, then exercises the full client
 surface — ``/healthz``, ``/plan`` (twice: miss then cached hit),
-``/sweep`` with one spec at seeds 7, 8 and 7 (asserting every returned
-result is **bit-identical** to executing the same point through the
-library in this process, the repeats included), and ``/stats`` (asserting the ``service.requests``
-counters moved).  Every request goes through one client, and
+``/sweep`` with one spec at seeds 7, 8 and 7, then a seeded 2D
+broadcast (a reply of replicated rows, written once and repeated) and
+an explicit-``data`` reduce whose input holds ``-0.0`` and a subnormal
+(asserting every returned result is **bit-identical** to executing the
+same point through the library in this process, the repeats included),
+and ``/stats`` (asserting the ``service.requests`` counters moved).  Every request goes through one client, and
 ``service.connections`` must show that they all rode one persistent
 connection.  It finishes by terminating the process group while that
 connection is still open, and probing that nothing survived — a leaked
@@ -62,8 +64,21 @@ def _boot() -> "tuple[subprocess.Popen, str, int]":
     return proc, fields["host"], int(fields["port"])
 
 
-def main() -> int:
+def _same_as_library(outcome, spec, data, label: str) -> None:
+    """Fail unless a sweep outcome is bit-identical to the library's."""
     from repro.core.api import execute, plan
+
+    local = execute(plan(spec), data)
+    if outcome.measured_cycles != local.measured_cycles:
+        _fail(f"{label}: measured cycles diverge: service="
+              f"{outcome.measured_cycles} library={local.measured_cycles}")
+    if not np.array_equal(outcome.result_array().view(np.int64),
+                          np.asarray(local.result).view(np.int64)):
+        _fail(f"{label}: sweep result is not bit-identical to the library "
+              "path")
+
+
+def main() -> int:
     from repro.service.client import ServiceClient, ServiceError
     from repro.service.schemas import SpecRequest, SweepItem, seeded_input
 
@@ -91,18 +106,29 @@ def main() -> int:
             return_results=True,
         )
         for seed, outcome in zip(seeds, swept.outcomes):
-            local = execute(plan(spec), seeded_input(spec, seed))
-            if outcome.measured_cycles != local.measured_cycles:
-                _fail(f"seed {seed}: measured cycles diverge: service="
-                      f"{outcome.measured_cycles} library="
-                      f"{local.measured_cycles}")
-            if not np.array_equal(
-                outcome.result_array().view(np.int64),
-                np.asarray(local.result).view(np.int64),
-            ):
-                _fail(f"seed {seed}: sweep result is not bit-identical to "
-                      "the library path")
+            _same_as_library(outcome, spec, seeded_input(spec, seed),
+                             f"seed {seed}")
             assert outcome.algorithm == first.algorithm
+
+        # The body writer's two paths: a broadcast reply is one row
+        # repeated; an explicit input carries -0.0 and a subnormal, in
+        # whole columns so that the sums keep them (-0.0 and 4 * 5e-324).
+        cast = SpecRequest(kind="broadcast", rows=4, cols=4, b=32)
+        data = np.linspace(-1.0, 1.0, 4 * 8).reshape(4, 8)
+        data[:, :2] = (-0.0, 5e-324)
+        reduce = SpecRequest(kind="reduce", rows=1, cols=4, b=8)
+        swept = client.sweep(
+            [SweepItem(spec=cast, seed=3), SweepItem(spec=reduce, data=data)],
+            return_results=True,
+        )
+        replicated = swept.outcomes[0].result_array()
+        if not (replicated.view(np.int64)
+                == replicated[0, 0].view(np.int64)).all():
+            _fail("a broadcast reply does not hold one row on every PE")
+        _same_as_library(swept.outcomes[0], cast.to_spec(),
+                         seeded_input(cast.to_spec(), 3), "broadcast")
+        _same_as_library(swept.outcomes[1], reduce.to_spec(), data,
+                         "explicit data")
 
         stats = client.stats()
         requests = sum(
@@ -147,7 +173,8 @@ def main() -> int:
         os.killpg(pgid, signal.SIGKILL)
         _fail("leaked processes survived shutdown")
 
-    print("smoke: OK (plan coalesce/cache, sweep bit-identity, stats, "
+    print("smoke: OK (plan coalesce/cache, sweep bit-identity incl. "
+          "replicated rows and -0.0/subnormal input, stats, "
           "400 path, one kept-alive connection, clean shutdown)")
     return 0
 

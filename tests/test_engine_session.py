@@ -134,6 +134,14 @@ class TestWarmSessionEquivalence:
             assert len(session.pool._processes) == cpus
             assert 1 <= session.stats.workers <= cpus
 
+    def test_processes_is_read_only(self):
+        """The pool size and the in-flight cap both read ``processes``,
+        so it cannot be changed under a built pool."""
+        session = EngineSession(workers=2)
+        with pytest.raises(AttributeError):
+            session.processes = 1
+        assert session.processes == min(2, default_workers())
+
     def test_workers_start_with_the_inherited_heap_frozen(self):
         """A forked worker's garbage collections skip what it inherited
         from the parent (walking it would copy the parent's heap)."""

@@ -365,6 +365,95 @@ def test_sweep_without_return_results_omits_arrays(server):
         swept.outcomes[0].result_array()
 
 
+# -- bulk arrays on the wire -------------------------------------------------
+
+
+@pytest.mark.parametrize("data", [
+    [[1.0, None]], [["1.5", 2.0]], [[{"x": 1}, 2.0]], [[True, False]],
+    [[1.0, 2.0], [3.0]],
+], ids=["null", "string", "object", "boolean", "ragged"])
+def test_non_numeric_data_is_a_400_on_its_field(server, monkeypatch, data):
+    """Decoding rejects what ``float64`` would silently coerce (null to
+    NaN, ``"1.5"`` to 1.5) or choke on, before any sweep work starts."""
+    def never(*_):
+        raise AssertionError("a rejected request reached the sweep")
+
+    monkeypatch.setattr(service_app.PlannerService, "_sweep_blocking", never)
+    good = {"spec": _spec(b=2, cols=2).to_payload(), "seed": 1}
+    bad = {"spec": _spec(b=2, cols=2).to_payload(), "data": data}
+    with pytest.raises(ServiceError) as err:
+        server.request("POST", "/sweep", {"items": [good, bad]})
+    assert err.value.status == 400
+    assert [e["field"] for e in err.value.errors] == ["items[1].data"]
+
+
+def _nan(payload: int) -> float:
+    return float(np.array([0x7FF8000000000000 | payload],
+                          dtype=np.uint64).view(np.float64)[0])
+
+
+_EDGE = [5e-324, 1.7976931348623157e308, float("inf"), -float("inf"),
+         float("nan"), 0.0, -0.0, 1.0, -3.0, 1e16, 2.0 ** 53, 0.1]
+
+#: name -> (array, rows written from one formatted row)
+_ARRAYS = {
+    "1d": (np.array(_EDGE), False),
+    "2d-replicated": (np.tile(_EDGE, (5, 1)), True),
+    "2d-distinct": (np.arange(12.0).reshape(3, 4) / 7, False),
+    "3d-replicated": (np.tile(_EDGE, (2, 3, 1)), True),
+    "zero-signs": (np.array([[0.0, 1.0], [-0.0, 1.0]]), False),
+    "nan-payloads": (np.array([[_nan(1), 1.0], [_nan(2), 1.0]]), False),
+    "one-row": (np.array([_EDGE]), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAYS))
+def test_writer_is_byte_identical_to_json_dumps(name, monkeypatch):
+    """The body writer emits exactly ``json.dumps(x.to_payload())``, and
+    takes the one-row shortcut only for bit-identical rows."""
+    from repro.service import schemas
+
+    array, replicated = _ARRAYS[name]
+    calls = []
+    write = schemas._array_json
+
+    def counting(a):
+        calls.append(a.shape)
+        return write(a)
+
+    monkeypatch.setattr(schemas, "_array_json", counting)
+    spec = _spec(b=array.shape[-1], cols=4)
+    request = schemas.SweepRequest(items=(
+        SweepItem(spec=spec, seed=3), SweepItem(spec=spec, data=array),
+    ), return_results=True)
+    response = schemas.SweepResponse(outcomes=(
+        schemas.SweepOutcome("chain", 12.5, 40, "reference", result=array),
+        schemas.SweepOutcome("tree", 1.0, 2, "vectorized"),
+    ))
+    for payload in (request, response):
+        calls.clear()
+        assert payload.to_json().encode() == json.dumps(
+            payload.to_payload()).encode()
+        assert (len(calls) > 1) == replicated, calls
+        text = payload.to_json()
+        assert type(payload).from_payload(json.loads(text)).to_json() == text
+
+
+def test_sweep_arrays_are_read_only_float64_with_bit_equality():
+    spec = _spec(b=2, cols=2)
+    source = np.array([[1.0, -0.0], [_nan(1), 2.0]])
+    item = SweepItem(spec=spec, data=source)
+    assert item.data.dtype == np.float64 and not item.data.flags.writeable
+    source[0, 0] = 9.0  # the item holds its own copy
+    assert item.data[0, 0] == 1.0
+    assert item == SweepItem(spec=spec, data=((1.0, -0.0), (_nan(1), 2)))
+    assert item != SweepItem(spec=spec, data=[[1.0, 0.0], [_nan(1), 2.0]])
+    assert item != SweepItem(spec=spec, data=[[1.0, -0.0], [_nan(2), 2.0]])
+    assert SweepItem(spec=spec, data=item.data).data is item.data
+    with pytest.raises(ValueError, match="nulls, objects"):
+        SweepItem(spec=spec, data=[[1.0, None]])
+
+
 # -- tune --------------------------------------------------------------------
 
 
