@@ -466,7 +466,8 @@ class PlannerService:
     def _parse_json(body: bytes) -> Any:
         try:
             return json.loads(body.decode() or "null")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError,
+                RecursionError) as exc:  # too deeply nested to decode
             raise _HttpError(400, ErrorResponse(f"invalid JSON body: {exc}"))
 
     async def _admitted(self, path: str, work) -> Any:

@@ -123,11 +123,13 @@ def test_infeasible_spec_is_a_400_not_a_500(server):
     assert err.value.status == 400
 
 
-def test_non_json_body_is_a_400(server):
+@pytest.mark.parametrize("body", [b"{not json", b"[" * 100_000],
+                         ids=["malformed", "nested-too-deep"])
+def test_non_json_body_is_a_400(server, body):
     import http.client
     conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
     try:
-        conn.request("POST", "/plan", body=b"{not json",
+        conn.request("POST", "/plan", body=body,
                      headers={"Content-Type": "application/json"})
         response = conn.getresponse()
         assert response.status == 400
