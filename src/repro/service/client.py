@@ -90,17 +90,10 @@ class ServiceClient:
         self, method: str, path: str, payload: Optional[Dict[str, Any]] = None
     ) -> Dict[str, Any]:
         """One HTTP round trip; raises :class:`ServiceError` on non-2xx."""
-        return self._send(
-            method, path, None if payload is None else json.dumps(payload)
-        )
-
-    def _send(
-        self, method: str, path: str, body: Optional[str]
-    ) -> Dict[str, Any]:
-        """:meth:`request` with the JSON body already written."""
         headers = {"Content-Type": "application/json"}
         if self.tenant is not None:
             headers["X-Tenant"] = self.tenant
+        body = None if payload is None else json.dumps(payload)
         conn = getattr(self._local, "conn", None)
         reused = conn is not None
         if not reused:
@@ -162,7 +155,7 @@ class ServiceClient:
     ) -> SweepResponse:
         request = SweepRequest(items=tuple(items),
                                return_results=return_results)
-        payload = self._send("POST", "/sweep", request.to_json())
+        payload = self.request("POST", "/sweep", request.to_payload())
         return SweepResponse.from_payload(payload)
 
     def tune(self, specs: Iterable[SpecRequest], seed: int = 0) -> TuneResponse:

@@ -21,21 +21,21 @@ result, bit-identical" a testable claim: JSON floats round-trip float64
 exactly (``repr`` shortest-round-trip on write, exact binary64 on parse).
 
 Bulk arrays — :attr:`SweepItem.data` and :attr:`SweepOutcome.result` —
-are held as read-only float64 ndarrays, converted once in each
-direction.  Decoding is one ``np.array`` over the parsed lists; an
-element that is not a number (null, a string, a boolean, an object)
-or a ragged array is a :class:`ValidationError` on that field, never a
-silent NaN.  Encoding skips the lists: :meth:`SweepRequest.to_json` and
-:meth:`SweepResponse.to_json` write the body text straight from the
-arrays, byte for byte what ``json.dumps(x.to_payload())`` writes (the
-wire format is the same one).  Float ``repr`` is most of that cost, so
-the writer formats fewer floats where it can: an array whose rows
-(sub-arrays along the first axis) are all bit-identical to row 0 — the
-same vector on every PE, as a Broadcast or AllReduce leaves it — is
-written as row 0's text repeated, at every level of nesting.  Rows are
-compared as ``uint64`` bits, so ``-0.0`` against ``0.0`` or two NaN
-payloads count as different rows.  ``to_payload()`` stays the JSON-able
-dict (arrays as lists) for callers that want one.
+are held as read-only float64 ndarrays, each built by one ``np.array``
+copy of what it is given.  An element that is not a number (null, a
+string, a boolean, an object) or a ragged array is a
+:class:`ValidationError` on that field, never a silent NaN or 1.0.
+The server writes a ``/sweep`` reply with :meth:`SweepResponse.to_json`
+straight from the arrays, byte for byte what
+``json.dumps(response.to_payload())`` writes (the wire format is the
+same one).  Float ``repr`` is most of that cost, so the writer formats
+fewer floats where it can: an array whose rows (sub-arrays along the
+first axis) are all bit-identical to row 0 — the same vector on every
+PE, as a Broadcast or AllReduce leaves it — is written as row 0's text
+repeated, at every level of nesting.  Rows are compared as ``uint64``
+bits, so ``-0.0`` against ``0.0`` or two NaN payloads count as
+different rows.  Requests go out as ``json.dumps(to_payload())``;
+``to_payload()`` is the JSON-able dict, arrays as lists.
 
 Machine parameters are the default :data:`~repro.model.params.CS2` —
 the service serves one machine; callers needing custom params hold the
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -242,23 +243,37 @@ _NOT_NUMBERS = {"b": "booleans", "U": "strings",
 
 
 def _float_array(data: Any) -> np.ndarray:
-    """``data`` as a read-only float64 ndarray (held as is if it is one).
+    """A read-only float64 copy of ``data``, by one ``np.array``.
 
-    Anything else is copied by one ``np.array``.  Elements that are not
-    numbers raise ``ValueError`` — ``np.asarray(data, dtype=float64)``
-    would turn null into NaN, parse ``"1.5"`` and raise ``TypeError`` on
-    an object — as does a ragged array.
+    Elements that are not numbers raise ``ValueError`` —
+    ``np.asarray(data, dtype=float64)`` would turn null into NaN, parse
+    ``"1.5"`` and raise ``TypeError`` on an object — as does a ragged
+    array.
     """
-    if (isinstance(data, np.ndarray) and data.dtype == np.float64
-            and not data.flags.writeable):
-        return data
     array = np.array(data)
-    if array.dtype.kind not in "fiu":
+    kind = array.dtype.kind
+    if kind in "fiu" and _holds_bool(data, array):
+        kind = "b"
+    if kind not in "fiu":
         raise ValueError("expected numbers, got "
-                         + _NOT_NUMBERS.get(array.dtype.kind, str(array.dtype)))
+                         + _NOT_NUMBERS.get(kind, str(array.dtype)))
     array = array.astype(np.float64, copy=False)
     array.flags.writeable = False
     return array
+
+
+def _holds_bool(data: Any, array: np.ndarray) -> bool:
+    """Whether nested lists hold a boolean among their numbers.
+
+    ``np.array`` reads such a boolean as 0 or 1, so the element types
+    are looked at only when ``array`` holds a 0 or a 1.
+    """
+    if isinstance(data, np.ndarray) or not ((array == 0) | (array == 1)).any():
+        return False
+    leaves = [data] if array.ndim == 0 else data
+    for _ in range(array.ndim - 1):
+        leaves = chain.from_iterable(leaves)
+    return bool in set(map(type, leaves))
 
 
 def _same_array(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
@@ -280,15 +295,6 @@ def _array_json(array: np.ndarray) -> str:
             row = _array_json(array[0])
             return "[" + ", ".join([row] * len(array)) + "]"
     return json.dumps(array.tolist())
-
-
-def _json_with(head: Dict[str, Any], key: str,
-               array: Optional[np.ndarray]) -> str:
-    """``json.dumps(head)`` with ``key: array`` appended as the last field."""
-    text = json.dumps(head)
-    if array is None:
-        return text
-    return f"{text[:-1]}, {json.dumps(key)}: {_array_json(array)}}}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,30 +342,20 @@ class SweepItem:
         if data is not None and not isinstance(data, (list, tuple)):
             errs.add("data", f"expected a nested array, got {data!r}")
             data = None
-        if data is not None:
-            try:
-                data = _float_array(data)
-            except ValueError as exc:
-                errs.add("data", f"not a numeric array: {exc}")
-                data = None
         errs.raise_if_any()
-        return cls(spec=spec, seed=seed, data=data)
+        try:
+            return cls(spec=spec, seed=seed, data=data)
+        except ValueError as exc:  # from _float_array: not numbers
+            errs.add("data", f"not a numeric array: {exc}")
+            raise ValidationError(errs.errors) from None
 
-    def _head(self) -> Dict[str, Any]:
+    def to_payload(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"spec": self.spec.to_payload()}
         if self.seed is not None:
             out["seed"] = self.seed
-        return out
-
-    def to_payload(self) -> Dict[str, Any]:
-        out = self._head()
         if self.data is not None:
             out["data"] = self.data.tolist()
         return out
-
-    def to_json(self) -> str:
-        """``json.dumps(self.to_payload())``, written from the array."""
-        return _json_with(self._head(), "data", self.data)
 
     def input_array(self) -> np.ndarray:
         """The float64 input this item describes (seeded or explicit)."""
@@ -402,12 +398,6 @@ class SweepRequest:
             "return_results": self.return_results,
         }
 
-    def to_json(self) -> str:
-        """``json.dumps(self.to_payload())``, written from the arrays."""
-        items = ", ".join(item.to_json() for item in self.items)
-        return (f'{{"items": [{items}], '
-                f'"return_results": {json.dumps(self.return_results)}}}')
-
 
 @dataclass(frozen=True, eq=False)
 class SweepOutcome:
@@ -449,7 +439,10 @@ class SweepOutcome:
 
     def to_json(self) -> str:
         """``json.dumps(self.to_payload())``, written from the array."""
-        return _json_with(self._head(), "result", self.result)
+        text = json.dumps(self._head())
+        if self.result is None:
+            return text
+        return f'{text[:-1]}, "result": {_array_json(self.result)}}}'
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "SweepOutcome":

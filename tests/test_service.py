@@ -372,11 +372,13 @@ def test_sweep_without_return_results_omits_arrays(server):
 
 @pytest.mark.parametrize("data", [
     [[1.0, None]], [["1.5", 2.0]], [[{"x": 1}, 2.0]], [[True, False]],
-    [[1.0, 2.0], [3.0]],
-], ids=["null", "string", "object", "boolean", "ragged"])
+    [[1.0, True]], [[2, 0], [False, 3]], [[1.0, 2.0], [3.0]],
+], ids=["null", "string", "object", "boolean", "boolean-among-floats",
+        "boolean-among-ints", "ragged"])
 def test_non_numeric_data_is_a_400_on_its_field(server, monkeypatch, data):
     """Decoding rejects what ``float64`` would silently coerce (null to
-    NaN, ``"1.5"`` to 1.5) or choke on, before any sweep work starts."""
+    NaN, ``"1.5"`` to 1.5, ``true`` to 1.0) or choke on, before any
+    sweep work starts."""
     def never(*_):
         raise AssertionError("a rejected request reached the sweep")
 
@@ -411,8 +413,8 @@ _ARRAYS = {
 
 @pytest.mark.parametrize("name", sorted(_ARRAYS))
 def test_writer_is_byte_identical_to_json_dumps(name, monkeypatch):
-    """The body writer emits exactly ``json.dumps(x.to_payload())``, and
-    takes the one-row shortcut only for bit-identical rows."""
+    """The reply writer emits exactly ``json.dumps(x.to_payload())``,
+    and takes the one-row shortcut only for bit-identical rows."""
     from repro.service import schemas
 
     array, replicated = _ARRAYS[name]
@@ -424,21 +426,14 @@ def test_writer_is_byte_identical_to_json_dumps(name, monkeypatch):
         return write(a)
 
     monkeypatch.setattr(schemas, "_array_json", counting)
-    spec = _spec(b=array.shape[-1], cols=4)
-    request = schemas.SweepRequest(items=(
-        SweepItem(spec=spec, seed=3), SweepItem(spec=spec, data=array),
-    ), return_results=True)
     response = schemas.SweepResponse(outcomes=(
         schemas.SweepOutcome("chain", 12.5, 40, "reference", result=array),
         schemas.SweepOutcome("tree", 1.0, 2, "vectorized"),
     ))
-    for payload in (request, response):
-        calls.clear()
-        assert payload.to_json().encode() == json.dumps(
-            payload.to_payload()).encode()
-        assert (len(calls) > 1) == replicated, calls
-        text = payload.to_json()
-        assert type(payload).from_payload(json.loads(text)).to_json() == text
+    text = response.to_json()
+    assert text.encode() == json.dumps(response.to_payload()).encode()
+    assert (len(calls) > 1) == replicated, calls
+    assert schemas.SweepResponse.from_payload(json.loads(text)).to_json() == text
 
 
 def test_sweep_arrays_are_read_only_float64_with_bit_equality():
@@ -451,7 +446,11 @@ def test_sweep_arrays_are_read_only_float64_with_bit_equality():
     assert item == SweepItem(spec=spec, data=((1.0, -0.0), (_nan(1), 2)))
     assert item != SweepItem(spec=spec, data=[[1.0, 0.0], [_nan(1), 2.0]])
     assert item != SweepItem(spec=spec, data=[[1.0, -0.0], [_nan(2), 2.0]])
-    assert SweepItem(spec=spec, data=item.data).data is item.data
+    buffer = bytearray(item.data.tobytes())
+    alias = np.frombuffer(buffer).reshape(2, 2)  # read-only, not owning
+    held = SweepItem(spec=spec, data=alias)
+    buffer[:8] = bytes(8)
+    assert alias[0, 0] == 0.0 and held == item  # the item kept a copy
     with pytest.raises(ValueError, match="nulls, objects"):
         SweepItem(spec=spec, data=[[1.0, None]])
 
